@@ -10,7 +10,7 @@ use hot_graph::kcore::coreness;
 use hot_graph::mst::{kruskal, prim};
 use hot_graph::parallel::{default_threads, par_avg_path_length, par_betweenness};
 use hot_graph::shortest_path::dijkstra;
-use hot_graph::spectral::spectral_radius;
+use hot_graph::spectral::{algebraic_connectivity, spectral_radius};
 use std::hint::black_box;
 
 /// A w×h grid graph with deterministic wobbled weights.
@@ -32,6 +32,12 @@ fn grid(w: usize, h: usize) -> Graph<(), f64> {
         }
     }
     g
+}
+
+/// A complete binary tree on `n` nodes: the Fiedler solve on it runs to
+/// the power-iteration step cap.
+fn binary_tree(n: usize) -> Graph<(), ()> {
+    Graph::from_edges(n, (1..n).map(|v| ((v - 1) / 2, v, ())))
 }
 
 fn bench_graph(c: &mut Criterion) {
@@ -57,6 +63,10 @@ fn bench_graph(c: &mut Criterion) {
     heavy.bench_function("betweenness", |b| b.iter(|| black_box(betweenness(&small))));
     heavy.bench_function("spectral_radius", |b| {
         b.iter(|| black_box(spectral_radius(&small)))
+    });
+    let tree = binary_tree(1000);
+    heavy.bench_function("algebraic_connectivity_tree1000", |b| {
+        b.iter(|| black_box(algebraic_connectivity(&tree)))
     });
     heavy.finish();
 }

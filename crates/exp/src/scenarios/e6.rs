@@ -39,8 +39,8 @@ pub struct Params {
 
 impl Params {
     pub fn golden() -> Params {
-        // Sizes are tuned so the full battery (including the dense
-        // spectral pass, whose power iteration is the cost ceiling)
+        // Sizes are tuned so the full battery (including the spectral
+        // pass, whose step-capped power iteration is the cost ceiling)
         // stays a few seconds in debug builds.
         Params {
             n: 100,

@@ -55,7 +55,16 @@ pub enum ParseError {
     BadLine { line: usize },
     /// A field failed to parse as the expected number.
     BadNumber { line: usize, field: String },
+    /// A node id at or above [`MAX_EDGE_LIST_ID`]: the node count
+    /// `1 + id` would not fit the `u32` node id space.
+    NodeIdTooLarge { line: usize, id: usize },
+    /// An edge from a node to itself, which [`Graph`] does not allow.
+    SelfLoop { line: usize, node: usize },
 }
+
+/// Exclusive upper bound on edge-list node ids, so that the node count
+/// (1 + the largest id) is itself a valid `u32`.
+pub const MAX_EDGE_LIST_ID: usize = u32::MAX as usize;
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -63,6 +72,16 @@ impl std::fmt::Display for ParseError {
             ParseError::BadLine { line } => write!(f, "line {}: expected 'a b [weight]'", line),
             ParseError::BadNumber { line, field } => {
                 write!(f, "line {}: cannot parse '{}'", line, field)
+            }
+            ParseError::NodeIdTooLarge { line, id } => write!(
+                f,
+                "line {}: node id {} exceeds the maximum {}",
+                line,
+                id,
+                MAX_EDGE_LIST_ID - 1
+            ),
+            ParseError::SelfLoop { line, node } => {
+                write!(f, "line {}: self-loop on node {}", line, node)
             }
         }
     }
@@ -72,7 +91,8 @@ impl std::error::Error for ParseError {}
 
 /// Parses an edge list (`a b` or `a b weight` per line; `#` comments and
 /// blank lines ignored). Node count is 1 + the largest mentioned index.
-/// Missing weights default to 1.0.
+/// Missing weights default to 1.0. Ids at or above [`MAX_EDGE_LIST_ID`]
+/// and self-loops are rejected with their line number.
 pub fn from_edge_list(text: &str) -> Result<Graph<(), f64>, ParseError> {
     let mut edges: Vec<(usize, usize, f64)> = Vec::new();
     let mut max_node = None::<usize>;
@@ -86,14 +106,24 @@ pub fn from_edge_list(text: &str) -> Result<Graph<(), f64>, ParseError> {
         if fields.len() != 2 && fields.len() != 3 {
             return Err(ParseError::BadLine { line: line_no });
         }
-        let parse_usize = |s: &str| {
-            s.parse::<usize>().map_err(|_| ParseError::BadNumber {
+        let parse_id = |s: &str| {
+            let id = s.parse::<usize>().map_err(|_| ParseError::BadNumber {
                 line: line_no,
                 field: s.to_string(),
-            })
+            })?;
+            if id >= MAX_EDGE_LIST_ID {
+                return Err(ParseError::NodeIdTooLarge { line: line_no, id });
+            }
+            Ok(id)
         };
-        let a = parse_usize(fields[0])?;
-        let b = parse_usize(fields[1])?;
+        let a = parse_id(fields[0])?;
+        let b = parse_id(fields[1])?;
+        if a == b {
+            return Err(ParseError::SelfLoop {
+                line: line_no,
+                node: a,
+            });
+        }
         let w = if fields.len() == 3 {
             fields[2]
                 .parse::<f64>()
@@ -293,13 +323,23 @@ impl Snapshot {
             return Err(corrupt("checksum mismatch"));
         }
         let mut pos = 8usize;
+        // Every length below comes from the file, so sizes use checked
+        // arithmetic and are bounded by the payload before allocating.
         let take = |pos: &mut usize, k: usize| -> Result<&[u8], SnapshotError> {
-            if *pos + k > payload_len {
-                return Err(SnapshotError::Corrupt("truncated section".to_string()));
-            }
-            let s = &bytes[*pos..*pos + k];
-            *pos += k;
+            let end = pos
+                .checked_add(k)
+                .filter(|&end| end <= payload_len)
+                .ok_or_else(|| SnapshotError::Corrupt("truncated section".to_string()))?;
+            let s = &bytes[*pos..end];
+            *pos = end;
             Ok(s)
+        };
+        // `count` items of `width` bytes each.
+        let take_items = |pos: &mut usize, count: usize, width: usize| {
+            let k = count
+                .checked_mul(width)
+                .ok_or_else(|| SnapshotError::Corrupt("section size overflows".to_string()))?;
+            take(pos, k)
         };
         let read_u32 = |pos: &mut usize| -> Result<u32, SnapshotError> {
             Ok(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()))
@@ -311,10 +351,22 @@ impl Snapshot {
         if version == 0 || version > SNAPSHOT_VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
-        let n = read_u64(&mut pos)? as usize;
-        let entries = read_u64(&mut pos)? as usize;
+        let n = read_u64(&mut pos)?;
+        let entries = read_u64(&mut pos)?;
+        // The CSR arrays alone need 4(n + 1) + 8·entries bytes: reject
+        // counts the payload cannot hold before allocating anything.
+        let csr_bytes = n
+            .checked_add(1)
+            .and_then(|k| k.checked_mul(4))
+            .zip(entries.checked_mul(8))
+            .and_then(|(a, b)| a.checked_add(b));
+        if csr_bytes.is_none_or(|b| b > (payload_len - pos) as u64) {
+            return Err(corrupt("node or entry count exceeds the payload"));
+        }
+        // Both fit in usize now: they are bounded by the payload length.
+        let (n, entries) = (n as usize, entries as usize);
         let read_u32_vec = |pos: &mut usize, k: usize| -> Result<Vec<u32>, SnapshotError> {
-            let raw = take(pos, 4 * k)?;
+            let raw = take_items(pos, k, 4)?;
             Ok(raw
                 .chunks_exact(4)
                 .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
@@ -345,7 +397,7 @@ impl Snapshot {
         let mut node_f64 = Vec::new();
         for _ in 0..read_u32(&mut pos)? {
             let name = read_name(&mut pos)?;
-            let raw = take(&mut pos, 8 * n)?;
+            let raw = take_items(&mut pos, n, 8)?;
             let col: Vec<f64> = raw
                 .chunks_exact(8)
                 .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
@@ -363,7 +415,7 @@ impl Snapshot {
         if version >= 2 {
             for _ in 0..read_u32(&mut pos)? {
                 let name = read_name(&mut pos)?;
-                let raw = take(&mut pos, 8 * (entries / 2))?;
+                let raw = take_items(&mut pos, entries / 2, 8)?;
                 let col: Vec<f64> = raw
                     .chunks_exact(8)
                     .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
@@ -474,6 +526,36 @@ mod tests {
                 line: 1,
                 field: "notafloat".into()
             }
+        );
+    }
+
+    #[test]
+    fn parse_rejects_id_overflowing_node_count() {
+        assert_eq!(
+            from_edge_list("0 18446744073709551615").unwrap_err(),
+            ParseError::NodeIdTooLarge {
+                line: 1,
+                id: usize::MAX
+            }
+        );
+    }
+
+    #[test]
+    fn parse_rejects_ids_beyond_u32() {
+        // Previously truncated to `id as u32` by `Graph::from_edges`.
+        for id in [u32::MAX as usize, u32::MAX as usize + 1] {
+            assert_eq!(
+                from_edge_list(&format!("0 1\n{} 0 2.0\n", id)).unwrap_err(),
+                ParseError::NodeIdTooLarge { line: 2, id }
+            );
+        }
+    }
+
+    #[test]
+    fn parse_rejects_self_loops() {
+        assert_eq!(
+            from_edge_list("0 1\n3 3\n").unwrap_err(),
+            ParseError::SelfLoop { line: 2, node: 3 }
         );
     }
 
@@ -589,6 +671,52 @@ mod tests {
         assert!(matches!(
             Snapshot::from_bytes(&good[..4]),
             Err(SnapshotError::BadMagic)
+        ));
+    }
+
+    /// A minimal 36-byte file: header with the given counts, no
+    /// sections, and a valid checksum, so only the counts can trip.
+    fn hostile_header(n: u64, entries: u64) -> Vec<u8> {
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&n.to_le_bytes());
+        bytes.extend_from_slice(&entries.to_le_bytes());
+        let sum = super::fnv1a(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn snapshot_rejects_node_count_overflowing_section_size() {
+        // 4 * (n + 1) overflows usize.
+        let bytes = hostile_header(1 << 62, 0);
+        assert_eq!(bytes.len(), 36);
+        assert!(matches!(
+            Snapshot::from_bytes(&bytes),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn snapshot_rejects_node_count_overflowing_offsets_length() {
+        // n + 1 overflows usize.
+        assert!(matches!(
+            Snapshot::from_bytes(&hostile_header(u64::MAX, 0)),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        assert!(matches!(
+            Snapshot::from_bytes(&hostile_header(0, u64::MAX)),
+            Err(SnapshotError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn snapshot_rejects_counts_beyond_payload() {
+        // Representable sizes that the (empty) payload cannot hold are
+        // rejected before the offset array is allocated.
+        assert!(matches!(
+            Snapshot::from_bytes(&hostile_header(1 << 40, 1 << 40)),
+            Err(SnapshotError::Corrupt(_))
         ));
     }
 

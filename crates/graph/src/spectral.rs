@@ -1,11 +1,11 @@
 //! Spectral estimates via power iteration: dominant adjacency eigenvalues
-//! and the normalized-Laplacian spectral gap.
+//! and the Laplacian's algebraic connectivity.
 //!
 //! Vukadinović et al. (cited as \[31\] in the paper) proposed spectral
 //! analysis for distinguishing topology generators; experiment E6 reports
 //! the top adjacency eigenvalues and the algebraic connectivity as part of
-//! the metric matrix. Dense matrices are fine at the experiment scales
-//! (≲ a few thousand nodes).
+//! the metric matrix. Both solves iterate on a sparse row form of the
+//! shifted matrix, so each step costs O(n + m) and memory stays linear.
 
 use crate::graph::Graph;
 
@@ -14,10 +14,57 @@ const MAX_ITERS: usize = 10_000;
 /// Convergence tolerance on the eigenvalue estimate.
 const TOL: f64 = 1e-10;
 
-/// Dense symmetric matrix-vector product helper.
-fn matvec(m: &[Vec<f64>], v: &[f64], out: &mut [f64]) {
-    for (i, row) in m.iter().enumerate() {
-        out[i] = row.iter().zip(v).map(|(a, b)| a * b).sum();
+/// A symmetric matrix `A + diag(d)` in sparse row form, where `A` counts
+/// the edges between each node pair (parallel edges merge into one
+/// weight). Row `i` holds its `(column, value)` pairs in ascending column
+/// order, with `d[i]` at column `i`.
+///
+/// Summing a row's products in that order gives bit-for-bit the dense
+/// row sum: every skipped dense entry is `0.0`, and adding `±0.0` to a
+/// running sum changes at most the sign of a zero, which never reaches
+/// an eigenvalue estimate.
+struct SparseRows {
+    /// Row `i` spans `entries[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    entries: Vec<(usize, f64)>,
+}
+
+impl SparseRows {
+    /// Builds `A + diag(d)` for `g`, with `diag(i)` the shift on row `i`.
+    fn shifted_adjacency<N, E>(g: &Graph<N, E>, diag: impl Fn(usize) -> f64) -> Self {
+        let n = g.node_count();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut entries = Vec::with_capacity(2 * g.edge_count() + n);
+        let mut cols = Vec::new();
+        offsets.push(0);
+        for v in g.node_ids() {
+            let i = v.index();
+            cols.clear();
+            cols.extend(g.neighbors(v).map(|(u, _)| u.index()));
+            // `Graph` rejects self-loops, so column `i` holds only the shift.
+            cols.push(i);
+            cols.sort_unstable();
+            let row_start = entries.len();
+            for &j in &cols {
+                match entries[row_start..].last_mut() {
+                    Some((last, w)) if *last == j => *w += 1.0,
+                    _ if j == i => entries.push((i, diag(i))),
+                    _ => entries.push((j, 1.0)),
+                }
+            }
+            offsets.push(entries.len());
+        }
+        SparseRows { offsets, entries }
+    }
+
+    /// `out = M v`.
+    fn matvec(&self, v: &[f64], out: &mut [f64]) {
+        for (o, span) in out.iter_mut().zip(self.offsets.windows(2)) {
+            *o = self.entries[span[0]..span[1]]
+                .iter()
+                .map(|&(j, a)| a * v[j])
+                .sum();
+        }
     }
 }
 
@@ -48,14 +95,18 @@ fn deflate(v: &mut [f64], basis: &[Vec<f64>]) {
     }
 }
 
-/// Power iteration for the largest-magnitude eigenvalue of a dense
-/// symmetric matrix, orthogonal to `deflated` eigenvectors.
+/// Power iteration for the largest-magnitude eigenvalue of the symmetric
+/// `n × n` matrix applied by `matvec`, orthogonal to `deflated`
+/// eigenvectors.
 ///
 /// Returns `(eigenvalue, eigenvector)`. A deterministic non-uniform start
 /// vector avoids getting stuck orthogonal to the dominant eigenvector on
 /// symmetric graphs.
-fn power_iteration(m: &[Vec<f64>], deflated: &[Vec<f64>]) -> (f64, Vec<f64>) {
-    let n = m.len();
+fn power_iteration(
+    n: usize,
+    matvec: impl Fn(&[f64], &mut [f64]),
+    deflated: &[Vec<f64>],
+) -> (f64, Vec<f64>) {
     let mut v: Vec<f64> = (0..n)
         .map(|i| 1.0 + (i as f64 * 0.7183).sin() * 0.5)
         .collect();
@@ -64,7 +115,7 @@ fn power_iteration(m: &[Vec<f64>], deflated: &[Vec<f64>]) -> (f64, Vec<f64>) {
     let mut next = vec![0.0; n];
     let mut lambda = 0.0;
     for _ in 0..MAX_ITERS {
-        matvec(m, &v, &mut next);
+        matvec(&v, &mut next);
         deflate(&mut next, deflated);
         let new_lambda = dot(&next, &v);
         normalize(&mut next);
@@ -78,32 +129,8 @@ fn power_iteration(m: &[Vec<f64>], deflated: &[Vec<f64>]) -> (f64, Vec<f64>) {
     (lambda, v)
 }
 
-/// Dense adjacency matrix (parallel edges sum).
-pub fn adjacency_matrix<N, E>(g: &Graph<N, E>) -> Vec<Vec<f64>> {
-    let n = g.node_count();
-    let mut m = vec![vec![0.0; n]; n];
-    for (_, a, b, _) in g.edges() {
-        m[a.index()][b.index()] += 1.0;
-        m[b.index()][a.index()] += 1.0;
-    }
-    m
-}
-
-/// Dense combinatorial Laplacian `L = D − A`.
-pub fn laplacian_matrix<N, E>(g: &Graph<N, E>) -> Vec<Vec<f64>> {
-    let n = g.node_count();
-    let mut m = vec![vec![0.0; n]; n];
-    for (_, a, b, _) in g.edges() {
-        m[a.index()][b.index()] -= 1.0;
-        m[b.index()][a.index()] -= 1.0;
-        m[a.index()][a.index()] += 1.0;
-        m[b.index()][b.index()] += 1.0;
-    }
-    m
-}
-
-/// The `k` algebraically largest eigenvalues of the adjacency matrix,
-/// descending, via power iteration with deflation.
+/// The `k` algebraically largest eigenvalues of the adjacency matrix
+/// (parallel edges sum), descending, via power iteration with deflation.
 ///
 /// The matrix is shifted by `cI` (`c` = max degree + 1) before iterating so
 /// that the algebraically largest eigenvalue is also the largest in
@@ -112,19 +139,16 @@ pub fn laplacian_matrix<N, E>(g: &Graph<N, E>) -> Vec<Vec<f64>> {
 /// Only the leading eigenvalues are meaningful for generator comparison;
 /// `k` beyond ~5 accumulates deflation error.
 pub fn top_adjacency_eigenvalues<N, E>(g: &Graph<N, E>, k: usize) -> Vec<f64> {
-    let mut m = adjacency_matrix(g);
-    let n = m.len();
+    let n = g.node_count();
     if n == 0 {
         return Vec::new();
     }
     let c = g.degree_sequence().into_iter().max().unwrap_or(0) as f64 + 1.0;
-    for (i, row) in m.iter_mut().enumerate() {
-        row[i] += c;
-    }
+    let m = SparseRows::shifted_adjacency(g, |_| c);
     let mut values = Vec::new();
     let mut vectors: Vec<Vec<f64>> = Vec::new();
     for _ in 0..k.min(n) {
-        let (lambda, vec) = power_iteration(&m, &vectors);
+        let (lambda, vec) = power_iteration(n, |v, out| m.matvec(v, out), &vectors);
         values.push(lambda - c);
         vectors.push(vec);
     }
@@ -140,7 +164,7 @@ pub fn spectral_radius<N, E>(g: &Graph<N, E>) -> f64 {
 }
 
 /// Algebraic connectivity: the second-smallest eigenvalue of the
-/// combinatorial Laplacian (Fiedler value).
+/// combinatorial Laplacian `L = D − A` (Fiedler value).
 ///
 /// Computed by power iteration on `cI − L` (with `c` = Gershgorin bound)
 /// deflated against the constant vector. Returns 0 for graphs with fewer
@@ -150,23 +174,15 @@ pub fn algebraic_connectivity<N, E>(g: &Graph<N, E>) -> f64 {
     if n < 2 {
         return 0.0;
     }
-    let l = laplacian_matrix(g);
+    let degree: Vec<f64> = g.degree_sequence().into_iter().map(f64::from).collect();
     // Gershgorin: all Laplacian eigenvalues lie in [0, 2*max_degree].
-    let c = 2.0 * l.iter().enumerate().map(|(i, r)| r[i]).fold(0.0, f64::max) + 1.0;
-    // Shifted matrix M = cI - L has eigenvalues c - mu, so the smallest mu
-    // becomes the largest. Deflate the known eigenvector 1/sqrt(n) (mu = 0).
-    let m: Vec<Vec<f64>> = l
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            row.iter()
-                .enumerate()
-                .map(|(j, &x)| if i == j { c - x } else { -x })
-                .collect()
-        })
-        .collect();
+    let c = 2.0 * degree.iter().copied().fold(0.0, f64::max) + 1.0;
+    // Shifted matrix M = cI - L = A + diag(c - deg) has eigenvalues
+    // c - mu, so the smallest mu becomes the largest. Deflate the known
+    // eigenvector 1/sqrt(n) (mu = 0).
+    let m = SparseRows::shifted_adjacency(g, |i| c - degree[i]);
     let ones = vec![1.0 / (n as f64).sqrt(); n];
-    let (lambda, _) = power_iteration(&m, &[ones]);
+    let (lambda, _) = power_iteration(n, |v, out| m.matvec(v, out), &[ones]);
     (c - lambda).max(0.0)
 }
 
@@ -174,6 +190,7 @@ pub fn algebraic_connectivity<N, E>(g: &Graph<N, E>) -> f64 {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use proptest::prelude::*;
 
     fn complete(n: usize) -> Graph<(), ()> {
         let mut edges = Vec::new();
@@ -236,5 +253,271 @@ mod tests {
         assert_eq!(spectral_radius(&g), 0.0);
         assert_eq!(algebraic_connectivity(&g), 0.0);
         assert!(top_adjacency_eigenvalues(&g, 3).is_empty());
+    }
+
+    #[test]
+    fn sparse_rows_merge_parallel_edges_around_the_shift() {
+        let g: Graph<(), ()> = Graph::from_edges(3, vec![(0, 2, ()), (2, 0, ()), (1, 2, ())]);
+        let m = SparseRows::shifted_adjacency(&g, |i| 10.0 + i as f64);
+        assert_eq!(m.offsets, vec![0, 2, 4, 7]);
+        assert_eq!(
+            m.entries,
+            vec![
+                (0, 10.0),
+                (2, 2.0),
+                (1, 11.0),
+                (2, 1.0),
+                (0, 2.0),
+                (1, 1.0),
+                (2, 12.0)
+            ]
+        );
+    }
+
+    // ---- Dense reference: the O(n²)-per-step oracle the sparse rows
+    // must reproduce bit for bit.
+
+    fn dense_adjacency(g: &Graph<(), ()>) -> Vec<Vec<f64>> {
+        let n = g.node_count();
+        let mut m = vec![vec![0.0; n]; n];
+        for (_, a, b, _) in g.edges() {
+            m[a.index()][b.index()] += 1.0;
+            m[b.index()][a.index()] += 1.0;
+        }
+        m
+    }
+
+    fn dense_laplacian(g: &Graph<(), ()>) -> Vec<Vec<f64>> {
+        let n = g.node_count();
+        let mut m = vec![vec![0.0; n]; n];
+        for (_, a, b, _) in g.edges() {
+            m[a.index()][b.index()] -= 1.0;
+            m[b.index()][a.index()] -= 1.0;
+            m[a.index()][a.index()] += 1.0;
+            m[b.index()][b.index()] += 1.0;
+        }
+        m
+    }
+
+    fn dense_matvec(m: &[Vec<f64>], v: &[f64], out: &mut [f64]) {
+        for (i, row) in m.iter().enumerate() {
+            out[i] = row.iter().zip(v).map(|(a, b)| a * b).sum();
+        }
+    }
+
+    fn dense_top_adjacency_eigenvalues(g: &Graph<(), ()>, k: usize) -> Vec<f64> {
+        let mut m = dense_adjacency(g);
+        let n = m.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let c = g.degree_sequence().into_iter().max().unwrap_or(0) as f64 + 1.0;
+        for (i, row) in m.iter_mut().enumerate() {
+            row[i] += c;
+        }
+        let mut values = Vec::new();
+        let mut vectors: Vec<Vec<f64>> = Vec::new();
+        for _ in 0..k.min(n) {
+            let (lambda, vec) = power_iteration(n, |v, out| dense_matvec(&m, v, out), &vectors);
+            values.push(lambda - c);
+            vectors.push(vec);
+        }
+        values
+    }
+
+    /// The dense Fiedler value and the number of power-iteration steps
+    /// it took.
+    fn dense_algebraic_connectivity(g: &Graph<(), ()>) -> (f64, usize) {
+        let n = g.node_count();
+        if n < 2 {
+            return (0.0, 0);
+        }
+        let l = dense_laplacian(g);
+        let c = 2.0 * l.iter().enumerate().map(|(i, r)| r[i]).fold(0.0, f64::max) + 1.0;
+        let m: Vec<Vec<f64>> = l
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                row.iter()
+                    .enumerate()
+                    .map(|(j, &x)| if i == j { c - x } else { -x })
+                    .collect()
+            })
+            .collect();
+        let ones = vec![1.0 / (n as f64).sqrt(); n];
+        let steps = std::cell::Cell::new(0);
+        let matvec = |v: &[f64], out: &mut [f64]| {
+            steps.set(steps.get() + 1);
+            dense_matvec(&m, v, out)
+        };
+        let (lambda, _) = power_iteration(n, matvec, &[ones]);
+        ((c - lambda).max(0.0), steps.get())
+    }
+
+    /// Top-2 adjacency eigenvalues and the Fiedler value agree with the
+    /// dense reference to the bit. Returns the Fiedler solve's step count.
+    fn matches_dense(g: &Graph<(), ()>) -> Result<usize, String> {
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(
+            bits(top_adjacency_eigenvalues(g, 2)),
+            bits(dense_top_adjacency_eigenvalues(g, 2))
+        );
+        let (fiedler, steps) = dense_algebraic_connectivity(g);
+        prop_assert_eq!(algebraic_connectivity(g).to_bits(), fiedler.to_bits());
+        Ok(steps)
+    }
+
+    /// splitmix64: a seedable stream for the test generators below.
+    struct Stream(u64);
+
+    impl Stream {
+        fn below(&mut self, k: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % k as u64) as usize
+        }
+    }
+
+    fn add_edge(g: &mut Graph<(), ()>, ends: &mut Vec<u32>, a: usize, b: usize) {
+        g.add_edge(
+            crate::graph::NodeId(a as u32),
+            crate::graph::NodeId(b as u32),
+            (),
+        );
+        ends.extend([a as u32, b as u32]);
+    }
+
+    /// Barabási–Albert: each arrival links to `m` distinct targets drawn
+    /// by degree from a seed clique of `m + 1` nodes.
+    fn ba(n: usize, m: usize, seed: u64) -> Graph<(), ()> {
+        let mut rng = Stream(seed);
+        let mut g = complete(m + 1);
+        let mut ends: Vec<u32> = g.edges().flat_map(|(_, a, b, _)| [a.0, b.0]).collect();
+        for v in m + 1..n {
+            g.add_node(());
+            let mut targets: Vec<usize> = Vec::new();
+            while targets.len() < m {
+                let t = ends[rng.below(ends.len())] as usize;
+                if !targets.contains(&t) {
+                    targets.push(t);
+                }
+            }
+            for t in targets {
+                add_edge(&mut g, &mut ends, v, t);
+            }
+        }
+        g
+    }
+
+    /// GLP-style growth from a path: each event either adds a node with
+    /// `m` preferential links or adds `m` preferential links between
+    /// existing nodes, which may repeat a pair (a multigraph).
+    fn glp(n: usize, m: usize, seed: u64) -> Graph<(), ()> {
+        let mut rng = Stream(seed);
+        let mut g: Graph<(), ()> = Graph::from_edges(2, vec![(0, 1, ())]);
+        let mut ends = vec![0u32, 1];
+        while g.node_count() < n {
+            let grow = rng.below(2) == 0;
+            let a = if grow {
+                g.add_node(()).index()
+            } else {
+                ends[rng.below(ends.len())] as usize
+            };
+            for _ in 0..m {
+                let b = ends[rng.below(ends.len())] as usize;
+                if a != b {
+                    add_edge(&mut g, &mut ends, a, b);
+                }
+            }
+        }
+        g
+    }
+
+    /// A broom (a 30-node path with 20 leaves on one end) runs the
+    /// Fiedler solve to the step cap: its hub inflates the Gershgorin
+    /// shift, so the path's small Laplacian eigenvalues barely separate.
+    /// The sparse sums must track the dense ones through all 10k steps.
+    #[test]
+    fn sparse_matches_dense_at_the_step_cap() {
+        let mut edges: Vec<(usize, usize, ())> = (1..30).map(|v| (v - 1, v, ())).collect();
+        edges.extend((30..50).map(|v| (0, v, ())));
+        let broom = Graph::from_edges(50, edges);
+        assert_eq!(matches_dense(&broom).unwrap(), MAX_ITERS);
+    }
+
+    #[test]
+    fn sparse_matches_dense_on_complete_graphs() {
+        for n in 0..12 {
+            matches_dense(&complete(n)).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Parallel edges merge into one weight; small `n` makes them common.
+        #[test]
+        fn sparse_matches_dense_on_multigraphs(
+            n in 2usize..12,
+            pairs in proptest::collection::vec((0usize..12, 0usize..12), 0..40),
+        ) {
+            let edges = pairs
+                .into_iter()
+                .map(|(a, b)| (a % n, b % n))
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (a, b, ()));
+            matches_dense(&Graph::from_edges(n, edges))?;
+        }
+
+        /// Two components plus isolated nodes: the Fiedler value is 0
+        /// and the deflated adjacency solves see repeated eigenvalues.
+        #[test]
+        fn sparse_matches_dense_on_disconnected_graphs(
+            n in 3usize..20,
+            pairs in proptest::collection::vec((0usize..20, 0usize..20), 0..40),
+        ) {
+            let s = n / 3;
+            let edges = pairs
+                .into_iter()
+                .map(|(a, b)| {
+                    let base = if (a + b) % 2 == 0 { 0 } else { s };
+                    (base + a % s.max(1), base + b % s.max(1))
+                })
+                .filter(|(a, b)| a != b)
+                .map(|(a, b)| (a, b, ()));
+            matches_dense(&Graph::from_edges(n, edges))?;
+        }
+
+        /// Stars, paths and random trees: bipartite spectra symmetric
+        /// about 0, where the unshifted adjacency solve would oscillate.
+        #[test]
+        fn sparse_matches_dense_on_trees(
+            kind in 0usize..3,
+            n in 2usize..24,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = Stream(seed);
+            let edges = (1..n).map(|v| {
+                let parent = match kind {
+                    0 => 0,
+                    1 => v - 1,
+                    _ => rng.below(v),
+                };
+                (parent, v, ())
+            });
+            let g = Graph::from_edges(n, edges.collect::<Vec<_>>());
+            matches_dense(&g)?;
+        }
+
+        #[test]
+        fn sparse_matches_dense_on_ba_and_glp(
+            n in 4usize..24,
+            m in 1usize..4,
+            seed in 0u64..u64::MAX,
+        ) {
+            matches_dense(&ba(n, m, seed))?;
+            matches_dense(&glp(n, m, seed))?;
+        }
     }
 }

@@ -18,7 +18,9 @@ use crate::spectral::spectral_summary;
 use hot_graph::graph::Graph;
 use hot_graph::traversal::{component_count, largest_component_size};
 
-/// Skip dense spectral work above this node count.
+/// Skip spectral work above this node count. The power iteration is
+/// O(n + m) per step, but tree-like graphs run to its step cap, and
+/// raising the limit would change E6's full-scale output.
 const SPECTRAL_LIMIT: usize = 3000;
 
 /// The full metric vector of one topology.

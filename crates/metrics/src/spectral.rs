@@ -18,8 +18,10 @@ pub struct SpectralSummary {
     pub algebraic_connectivity: f64,
 }
 
-/// Computes the spectral summary. Dense O(n²) memory — callers should
-/// skip it above a few thousand nodes (the report module does).
+/// Computes the spectral summary: two deflated adjacency solves and one
+/// Fiedler solve, each O(n + m) per power-iteration step and linear in
+/// memory. Slow-converging graphs (trees) run up to the 10k-step cap,
+/// so the report module still skips it above a few thousand nodes.
 pub fn spectral_summary<N, E>(g: &Graph<N, E>) -> SpectralSummary {
     let top = hot_graph::spectral::top_adjacency_eigenvalues(g, 2);
     SpectralSummary {
