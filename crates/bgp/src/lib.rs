@@ -34,4 +34,4 @@ pub mod topology;
 
 pub use propagate::{PropagationScratch, RouteTable, UNREACHED};
 pub use summary::{policy_summary, policy_summary_all, ClassPathCounts, PolicySummary};
-pub use topology::{AsClass, AsTopology};
+pub use topology::{AsClass, AsTopology, TopologyError};

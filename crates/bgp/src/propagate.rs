@@ -279,6 +279,7 @@ mod tests {
                 AsClass::Stub,
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -301,7 +302,8 @@ mod tests {
             &[(0, 2), (1, 3)],
             &[],
             vec![AsClass::Tier1, AsClass::Tier1, AsClass::Stub, AsClass::Stub],
-        );
+        )
+        .unwrap();
         let from2 = t.propagate(2);
         assert_eq!(from2.dist[3], UNREACHED);
         assert!(!from2.reaches(3));
@@ -313,7 +315,8 @@ mod tests {
     fn one_peer_crossing_only() {
         // Chain of peers: 0 - 1 - 2 (all tier-1). Valley-freedom allows
         // exactly one peer hop, so 0 cannot reach 2.
-        let t = AsTopology::from_relationships(3, &[], &[(0, 1), (1, 2)], vec![AsClass::Tier1; 3]);
+        let t = AsTopology::from_relationships(3, &[], &[(0, 1), (1, 2)], vec![AsClass::Tier1; 3])
+            .unwrap();
         let from0 = t.propagate(0);
         assert_eq!(from0.dist[1], 1);
         assert_eq!(from0.dist[2], UNREACHED);
@@ -365,7 +368,7 @@ mod tests {
         let table = t.propagate(99);
         assert!(table.dist.iter().all(|&d| d == UNREACHED));
         assert!(t.shortest(99).iter().all(|&d| d == UNREACHED));
-        let empty = AsTopology::from_relationships(0, &[], &[], vec![]);
+        let empty = AsTopology::from_relationships(0, &[], &[], vec![]).unwrap();
         assert!(empty.propagate(0).dist.is_empty());
         assert!(empty.shortest(0).is_empty());
     }

@@ -289,6 +289,7 @@ mod tests {
                 AsClass::Stub,
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -338,7 +339,8 @@ mod tests {
                 AsClass::Tier2,
                 AsClass::Stub,
             ],
-        );
+        )
+        .unwrap();
         let from2 = t.propagate(2);
         assert_eq!(from2.dist[3], 3);
         assert_eq!(t.shortest(2)[3], 2);
@@ -357,7 +359,8 @@ mod tests {
     fn policy_can_disconnect_what_bfs_connects() {
         // Peer chain 0-1-2: BFS connects everything, policy cannot cross
         // two peer links.
-        let t = AsTopology::from_relationships(3, &[], &[(0, 1), (1, 2)], vec![AsClass::Tier1; 3]);
+        let t = AsTopology::from_relationships(3, &[], &[(0, 1), (1, 2)], vec![AsClass::Tier1; 3])
+            .unwrap();
         let s = policy_summary_all(&t, 1);
         assert_eq!(s.bfs_reachable, 6);
         assert_eq!(s.policy_reachable, 4);
@@ -387,7 +390,7 @@ mod tests {
         assert_eq!(s.sources, 0);
         assert_eq!(s.policy_reachability(), 0.0);
         assert!(s.inflation_ccdf().is_empty());
-        let empty = AsTopology::from_relationships(0, &[], &[], vec![]);
+        let empty = AsTopology::from_relationships(0, &[], &[], vec![]).unwrap();
         let s = policy_summary_all(&empty, 4);
         assert_eq!(s.pairs, 0);
     }

@@ -69,6 +69,30 @@ impl AsClass {
     }
 }
 
+/// Why [`AsTopology::from_relationships`] rejected its input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TopologyError {
+    /// A relationship names an AS id that is not below the AS count.
+    AsOutOfRange { id: u32, n: usize },
+    /// The class list does not hold exactly one class per AS.
+    ClassCount { expected: usize, got: usize },
+}
+
+impl std::fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TopologyError::AsOutOfRange { id, n } => {
+                write!(f, "AS id {} out of range for {} ASes", id, n)
+            }
+            TopologyError::ClassCount { expected, got } => {
+                write!(f, "expected {} AS classes, got {}", expected, got)
+            }
+        }
+    }
+}
+
+impl std::error::Error for TopologyError {}
+
 /// Path-membership bits, precomputed per AS so the propagation kernel
 /// can accumulate "what does this path traverse" with a single OR per
 /// hop. [`crate::propagate`] adds the per-source provider bit on top.
@@ -262,19 +286,34 @@ impl AsTopology {
     /// A topology from explicit relationship lists (tests, synthetic
     /// cases). `provider_customer` holds `(provider, customer)` pairs,
     /// `peer_pairs` unordered peer pairs; both may contain duplicates.
+    ///
+    /// Checked: every AS id must be below `n` and `class` must hold one
+    /// class per AS, or the input is rejected with a [`TopologyError`].
     pub fn from_relationships(
         n: usize,
         provider_customer: &[(u32, u32)],
         peer_pairs: &[(u32, u32)],
         class: Vec<AsClass>,
-    ) -> AsTopology {
+    ) -> Result<AsTopology, TopologyError> {
+        if class.len() != n {
+            return Err(TopologyError::ClassCount {
+                expected: n,
+                got: class.len(),
+            });
+        }
+        let ids = provider_customer.iter().chain(peer_pairs);
+        if let Some(id) = ids.flat_map(|&(a, b)| [a, b]).find(|&id| id as usize >= n) {
+            return Err(TopologyError::AsOutOfRange { id, n });
+        }
         let providers = provider_customer.iter().map(|&(p, c)| (c, p)).collect();
         let customers = provider_customer.iter().copied().collect();
         let peers = peer_pairs
             .iter()
             .flat_map(|&(a, b)| [(a, b), (b, a)])
             .collect();
-        AsTopology::from_parts(n, providers, customers, peers, class)
+        Ok(AsTopology::from_parts(
+            n, providers, customers, peers, class,
+        ))
     }
 
     /// Number of ASes.
@@ -351,6 +390,7 @@ mod tests {
                 AsClass::Stub,
             ],
         )
+        .unwrap()
     }
 
     #[test]
@@ -376,7 +416,8 @@ mod tests {
             &[(0, 1), (0, 1), (0, 2)],
             &[(1, 2), (2, 1), (1, 2)],
             vec![AsClass::Tier1, AsClass::Stub, AsClass::Stub],
-        );
+        )
+        .unwrap();
         assert_eq!(t.customers(0), &[1, 2]);
         assert_eq!(t.providers(1), &[0]);
         assert_eq!(t.peers(1), &[2]);
@@ -406,8 +447,40 @@ mod tests {
     }
 
     #[test]
+    fn provider_id_out_of_range_is_an_error() {
+        let classes = vec![AsClass::Tier1, AsClass::Stub];
+        assert_eq!(
+            AsTopology::from_relationships(2, &[(2, 1)], &[], classes.clone()),
+            Err(TopologyError::AsOutOfRange { id: 2, n: 2 })
+        );
+        assert_eq!(
+            AsTopology::from_relationships(2, &[], &[(0, 7)], classes),
+            Err(TopologyError::AsOutOfRange { id: 7, n: 2 })
+        );
+    }
+
+    #[test]
+    fn customer_id_out_of_range_is_an_error() {
+        assert_eq!(
+            AsTopology::from_relationships(2, &[(0, 1), (1, 9)], &[], vec![AsClass::Stub; 2]),
+            Err(TopologyError::AsOutOfRange { id: 9, n: 2 })
+        );
+    }
+
+    #[test]
+    fn class_count_mismatch_is_an_error() {
+        for classes in [vec![AsClass::Tier1; 2], vec![AsClass::Tier1; 4]] {
+            let got = classes.len();
+            assert_eq!(
+                AsTopology::from_relationships(3, &[(0, 1)], &[], classes),
+                Err(TopologyError::ClassCount { expected: 3, got })
+            );
+        }
+    }
+
+    #[test]
     fn empty_topology() {
-        let t = AsTopology::from_relationships(0, &[], &[], vec![]);
+        let t = AsTopology::from_relationships(0, &[], &[], vec![]).unwrap();
         assert!(t.is_empty());
         assert_eq!(t.class_counts(), [0; 4]);
         let g: Graph<(), ()> = Graph::new();

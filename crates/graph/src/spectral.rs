@@ -6,6 +6,8 @@
 //! the top adjacency eigenvalues and the algebraic connectivity as part of
 //! the metric matrix. Both solves iterate on a sparse row form of the
 //! shifted matrix, so each step costs O(n + m) and memory stays linear.
+//! [`SpectralSolve`] splits them into a prepare step that reads the graph
+//! and an allocation-free solve that may run on another thread.
 
 use crate::graph::Graph;
 
@@ -96,63 +98,169 @@ fn deflate(v: &mut [f64], basis: &[Vec<f64>]) {
 }
 
 /// Power iteration for the largest-magnitude eigenvalue of the symmetric
-/// `n × n` matrix applied by `matvec`, orthogonal to `deflated`
+/// matrix applied by `matvec`, orthogonal to the `deflated` unit
 /// eigenvectors.
 ///
-/// Returns `(eigenvalue, eigenvector)`. A deterministic non-uniform start
-/// vector avoids getting stuck orthogonal to the dominant eigenvector on
-/// symmetric graphs.
+/// `v` and `next` are the caller's length-`n` buffers; on return `v`
+/// holds the eigenvector. Allocates nothing. A deterministic non-uniform
+/// start vector avoids getting stuck orthogonal to the dominant
+/// eigenvector on symmetric graphs.
 fn power_iteration(
-    n: usize,
     matvec: impl Fn(&[f64], &mut [f64]),
     deflated: &[Vec<f64>],
-) -> (f64, Vec<f64>) {
-    let mut v: Vec<f64> = (0..n)
-        .map(|i| 1.0 + (i as f64 * 0.7183).sin() * 0.5)
-        .collect();
-    deflate(&mut v, deflated);
-    normalize(&mut v);
-    let mut next = vec![0.0; n];
+    v: &mut Vec<f64>,
+    next: &mut Vec<f64>,
+) -> f64 {
+    for (i, x) in v.iter_mut().enumerate() {
+        *x = 1.0 + (i as f64 * 0.7183).sin() * 0.5;
+    }
+    deflate(v, deflated);
+    normalize(v);
     let mut lambda = 0.0;
     for _ in 0..MAX_ITERS {
-        matvec(&v, &mut next);
-        deflate(&mut next, deflated);
-        let new_lambda = dot(&next, &v);
-        normalize(&mut next);
-        std::mem::swap(&mut v, &mut next);
+        matvec(v, next);
+        deflate(next, deflated);
+        let new_lambda = dot(next, v);
+        normalize(next);
+        std::mem::swap(v, next);
         if (new_lambda - lambda).abs() < TOL * (1.0 + new_lambda.abs()) {
             lambda = new_lambda;
             break;
         }
         lambda = new_lambda;
     }
-    (lambda, v)
+    lambda
+}
+
+/// The largest eigenvalues of one shifted sparse matrix, found one at a
+/// time by power iteration, each deflated against the known eigenvectors
+/// and every eigenvector found before it; holds every buffer it writes.
+struct Deflated {
+    rows: SparseRows,
+    /// Unit vectors each iterate is kept orthogonal to, in deflation
+    /// order: `known` given eigenvectors, then one slot per eigenvalue
+    /// solved for, which receives that eigenvalue's eigenvector.
+    basis: Vec<Vec<f64>>,
+    known: usize,
+    next: Vec<f64>,
+    /// The eigenvalue of each slot, largest first, once solved.
+    values: Vec<f64>,
+}
+
+impl Deflated {
+    fn new(rows: SparseRows, mut basis: Vec<Vec<f64>>, k: usize) -> Self {
+        let n = rows.offsets.len() - 1;
+        let known = basis.len();
+        basis.resize(known + k, vec![0.0; n]);
+        Deflated {
+            rows,
+            basis,
+            known,
+            next: vec![0.0; n],
+            values: vec![0.0; k],
+        }
+    }
+
+    /// Runs the slots' power iterations in order; allocates nothing.
+    fn solve(&mut self) {
+        let rows = &self.rows;
+        for (slot, value) in self.values.iter_mut().enumerate() {
+            let (deflated, rest) = self.basis.split_at_mut(self.known + slot);
+            *value = power_iteration(
+                |v, out| rows.matvec(v, out),
+                deflated,
+                &mut rest[0],
+                &mut self.next,
+            );
+        }
+    }
+}
+
+/// The spectral solves of one graph, ready to run: the deflated top-`k`
+/// adjacency solve and the Fiedler solve, each with its shifted sparse
+/// matrix and every power-iteration buffer.
+///
+/// [`prepare`](Self::prepare) reads the graph on the caller's thread.
+/// [`solve`](Self::solve) reads and writes only this struct and
+/// allocates nothing, so a caller may move it (it is `Send`, whatever the
+/// graph's payloads) to another thread and run it there; the results are
+/// the same bits wherever it runs. The free functions below run through
+/// the same solve.
+pub struct SpectralSolve {
+    /// The shift `c` of `A + cI`, and its solve, when `k > 0` and `n > 0`.
+    adjacency: Option<(f64, Deflated)>,
+    /// The shift `c` of `cI − L`, and its solve, when asked for and `n ≥ 2`.
+    fiedler: Option<(f64, Deflated)>,
+}
+
+impl SpectralSolve {
+    /// Prepares the `k` algebraically largest adjacency eigenvalues (at
+    /// most `n`) and, when `fiedler`, the algebraic connectivity.
+    ///
+    /// The adjacency matrix (parallel edges sum) is shifted by `cI` (`c`
+    /// = max degree + 1) so that the algebraically largest eigenvalue is
+    /// also the largest in magnitude — without the shift, power iteration
+    /// oscillates on bipartite graphs (e.g. stars and trees, whose
+    /// spectra are symmetric about 0). The Fiedler solve iterates on
+    /// `cI − L` (with `c` the Gershgorin bound), deflated against the
+    /// constant vector.
+    pub fn prepare<N, E>(g: &Graph<N, E>, k: usize, fiedler: bool) -> Self {
+        let n = g.node_count();
+        let degree: Vec<f64> = g.degree_sequence().into_iter().map(f64::from).collect();
+        let max_degree = degree.iter().copied().fold(0.0, f64::max);
+        let k = k.min(n);
+        let adjacency = (k > 0).then(|| {
+            let c = max_degree + 1.0;
+            let rows = SparseRows::shifted_adjacency(g, |_| c);
+            (c, Deflated::new(rows, Vec::new(), k))
+        });
+        let fiedler = (fiedler && n >= 2).then(|| {
+            // Gershgorin: all Laplacian eigenvalues lie in [0, 2*max_degree].
+            let c = 2.0 * max_degree + 1.0;
+            // Shifted matrix M = cI - L = A + diag(c - deg) has eigenvalues
+            // c - mu, so the smallest mu becomes the largest. Deflate the
+            // known eigenvector 1/sqrt(n) (mu = 0).
+            let rows = SparseRows::shifted_adjacency(g, |i| c - degree[i]);
+            let ones = vec![1.0 / (n as f64).sqrt(); n];
+            (c, Deflated::new(rows, vec![ones], 1))
+        });
+        SpectralSolve { adjacency, fiedler }
+    }
+
+    /// Runs the adjacency solve, then the Fiedler solve. Allocates
+    /// nothing.
+    pub fn solve(&mut self) {
+        for (_, solve) in self.adjacency.iter_mut().chain(&mut self.fiedler) {
+            solve.solve();
+        }
+    }
+
+    /// The prepared top adjacency eigenvalues, descending, once solved.
+    pub fn top_adjacency_eigenvalues(&self) -> impl Iterator<Item = f64> + '_ {
+        self.adjacency
+            .iter()
+            .flat_map(|(c, solve)| solve.values.iter().map(move |lambda| lambda - c))
+    }
+
+    /// The algebraic connectivity once solved; 0 when the Fiedler solve
+    /// was not prepared or the graph has fewer than 2 nodes.
+    pub fn algebraic_connectivity(&self) -> f64 {
+        self.fiedler
+            .as_ref()
+            .map_or(0.0, |(c, solve)| (c - solve.values[0]).max(0.0))
+    }
 }
 
 /// The `k` algebraically largest eigenvalues of the adjacency matrix
-/// (parallel edges sum), descending, via power iteration with deflation.
+/// (parallel edges sum), descending, via shifted power iteration with
+/// deflation (see [`SpectralSolve::prepare`]).
 ///
-/// The matrix is shifted by `cI` (`c` = max degree + 1) before iterating so
-/// that the algebraically largest eigenvalue is also the largest in
-/// magnitude — without the shift, power iteration oscillates on bipartite
-/// graphs (e.g. stars and trees, whose spectra are symmetric about 0).
 /// Only the leading eigenvalues are meaningful for generator comparison;
 /// `k` beyond ~5 accumulates deflation error.
 pub fn top_adjacency_eigenvalues<N, E>(g: &Graph<N, E>, k: usize) -> Vec<f64> {
-    let n = g.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let c = g.degree_sequence().into_iter().max().unwrap_or(0) as f64 + 1.0;
-    let m = SparseRows::shifted_adjacency(g, |_| c);
-    let mut values = Vec::new();
-    let mut vectors: Vec<Vec<f64>> = Vec::new();
-    for _ in 0..k.min(n) {
-        let (lambda, vec) = power_iteration(n, |v, out| m.matvec(v, out), &vectors);
-        values.push(lambda - c);
-        vectors.push(vec);
-    }
-    values
+    let mut solve = SpectralSolve::prepare(g, k, false);
+    solve.solve();
+    solve.top_adjacency_eigenvalues().collect()
 }
 
 /// Spectral radius (largest adjacency eigenvalue); 0 for the empty graph.
@@ -170,20 +278,9 @@ pub fn spectral_radius<N, E>(g: &Graph<N, E>) -> f64 {
 /// deflated against the constant vector. Returns 0 for graphs with fewer
 /// than 2 nodes; values near 0 indicate disconnection or bottlenecks.
 pub fn algebraic_connectivity<N, E>(g: &Graph<N, E>) -> f64 {
-    let n = g.node_count();
-    if n < 2 {
-        return 0.0;
-    }
-    let degree: Vec<f64> = g.degree_sequence().into_iter().map(f64::from).collect();
-    // Gershgorin: all Laplacian eigenvalues lie in [0, 2*max_degree].
-    let c = 2.0 * degree.iter().copied().fold(0.0, f64::max) + 1.0;
-    // Shifted matrix M = cI - L = A + diag(c - deg) has eigenvalues
-    // c - mu, so the smallest mu becomes the largest. Deflate the known
-    // eigenvector 1/sqrt(n) (mu = 0).
-    let m = SparseRows::shifted_adjacency(g, |i| c - degree[i]);
-    let ones = vec![1.0 / (n as f64).sqrt(); n];
-    let (lambda, _) = power_iteration(n, |v, out| m.matvec(v, out), &[ones]);
-    (c - lambda).max(0.0)
+    let mut solve = SpectralSolve::prepare(g, 0, true);
+    solve.solve();
+    solve.algebraic_connectivity()
 }
 
 #[cfg(test)]
@@ -317,10 +414,13 @@ mod tests {
         }
         let mut values = Vec::new();
         let mut vectors: Vec<Vec<f64>> = Vec::new();
+        let mut next = vec![0.0; n];
         for _ in 0..k.min(n) {
-            let (lambda, vec) = power_iteration(n, |v, out| dense_matvec(&m, v, out), &vectors);
+            let mut v = vec![0.0; n];
+            let matvec = |v: &[f64], out: &mut [f64]| dense_matvec(&m, v, out);
+            let lambda = power_iteration(matvec, &vectors, &mut v, &mut next);
             values.push(lambda - c);
-            vectors.push(vec);
+            vectors.push(v);
         }
         values
     }
@@ -350,21 +450,72 @@ mod tests {
             steps.set(steps.get() + 1);
             dense_matvec(&m, v, out)
         };
-        let (lambda, _) = power_iteration(n, matvec, &[ones]);
+        let (mut v, mut next) = (vec![0.0; n], vec![0.0; n]);
+        let lambda = power_iteration(matvec, &[ones], &mut v, &mut next);
         ((c - lambda).max(0.0), steps.get())
     }
 
     /// Top-2 adjacency eigenvalues and the Fiedler value agree with the
-    /// dense reference to the bit. Returns the Fiedler solve's step count.
+    /// dense reference to the bit, whether solved alone or together.
+    /// Returns the Fiedler solve's step count.
     fn matches_dense(g: &Graph<(), ()>) -> Result<usize, String> {
         let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-        prop_assert_eq!(
-            bits(top_adjacency_eigenvalues(g, 2)),
-            bits(dense_top_adjacency_eigenvalues(g, 2))
-        );
+        let top = bits(dense_top_adjacency_eigenvalues(g, 2));
         let (fiedler, steps) = dense_algebraic_connectivity(g);
+        prop_assert_eq!(&bits(top_adjacency_eigenvalues(g, 2)), &top);
         prop_assert_eq!(algebraic_connectivity(g).to_bits(), fiedler.to_bits());
+        let mut both = SpectralSolve::prepare(g, 2, true);
+        both.solve();
+        prop_assert_eq!(&bits(both.top_adjacency_eigenvalues().collect()), &top);
+        prop_assert_eq!(both.algebraic_connectivity().to_bits(), fiedler.to_bits());
         Ok(steps)
+    }
+
+    /// Counts each thread's allocator calls, so a test can check that a
+    /// solve makes none.
+    struct CountingAlloc;
+
+    thread_local! {
+        static ALLOC_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    fn alloc_calls() -> usize {
+        ALLOC_CALLS.with(|c| c.get())
+    }
+
+    fn count_call() {
+        let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+    }
+
+    // SAFETY: every call goes unchanged to `System`, which upholds the
+    // `GlobalAlloc` contract. The counter is a const-initialised
+    // thread-local `Cell` with no destructor, so touching it neither
+    // allocates nor re-enters the allocator.
+    unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            count_call();
+            std::alloc::System.alloc(layout)
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            count_call();
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING_ALLOC: CountingAlloc = CountingAlloc;
+
+    #[test]
+    fn prepared_solve_is_send_and_allocates_nothing() {
+        fn assert_send<T: Send>(_: &T) {}
+        for g in [broom(), ba(200, 2, 7), glp(200, 2, 7)] {
+            let mut solve = SpectralSolve::prepare(&g, 2, true);
+            assert_send(&solve);
+            let before = alloc_calls();
+            solve.solve();
+            assert_eq!(alloc_calls(), before, "solve touched the allocator");
+        }
     }
 
     /// splitmix64: a seedable stream for the test generators below.
@@ -438,13 +589,16 @@ mod tests {
     /// A broom (a 30-node path with 20 leaves on one end) runs the
     /// Fiedler solve to the step cap: its hub inflates the Gershgorin
     /// shift, so the path's small Laplacian eigenvalues barely separate.
+    fn broom() -> Graph<(), ()> {
+        let mut edges: Vec<(usize, usize, ())> = (1..30).map(|v| (v - 1, v, ())).collect();
+        edges.extend((30..50).map(|v| (0, v, ())));
+        Graph::from_edges(50, edges)
+    }
+
     /// The sparse sums must track the dense ones through all 10k steps.
     #[test]
     fn sparse_matches_dense_at_the_step_cap() {
-        let mut edges: Vec<(usize, usize, ())> = (1..30).map(|v| (v - 1, v, ())).collect();
-        edges.extend((30..50).map(|v| (0, v, ())));
-        let broom = Graph::from_edges(50, edges);
-        assert_eq!(matches_dense(&broom).unwrap(), MAX_ITERS);
+        assert_eq!(matches_dense(&broom()).unwrap(), MAX_ITERS);
     }
 
     #[test]

@@ -14,13 +14,16 @@ use crate::expfit::{classify, TailClass};
 use crate::hierarchy::{hierarchy, HierarchySummary};
 use crate::paths::path_metrics;
 use crate::resilience::mean_pairwise_connectivity;
-use crate::spectral::spectral_summary;
+use crate::spectral::SpectralSummary;
 use hot_graph::graph::Graph;
 use hot_graph::traversal::{component_count, largest_component_size};
 
 /// Skip spectral work above this node count. The power iteration is
 /// O(n + m) per step, but tree-like graphs run to its step cap, and
-/// raising the limit would change E6's full-scale output.
+/// raising the limit would change E6's full-scale output. At or below
+/// it, [`MetricReport::compute`] runs the spectral solves on one scoped
+/// worker thread beside the other metrics; the output does not depend
+/// on that scheduling.
 const SPECTRAL_LIMIT: usize = 3000;
 
 /// The full metric vector of one topology.
@@ -70,39 +73,65 @@ pub enum MetricValue {
 
 impl MetricReport {
     /// Computes the full report for a graph.
+    ///
+    /// For `0 < n ≤ SPECTRAL_LIMIT` (3000) the spectral solves (two
+    /// deflated adjacency power iterations and the Fiedler one) are
+    /// prepared on the caller's thread and run on one scoped worker
+    /// while the caller computes the combinatorial metrics. Every metric is a pure
+    /// function of the graph, and the worker touches only its prepared
+    /// buffers, so the report is bit-identical to computing each metric
+    /// in turn (as [`spectral_summary`] and the other public metric
+    /// functions do) at any thread count. A panic on the worker is
+    /// re-raised on the caller.
+    ///
+    /// [`spectral_summary`]: crate::spectral::spectral_summary
     pub fn compute<N, E>(name: impl Into<String>, g: &Graph<N, E>) -> Self {
-        let degs = g.degree_sequence();
-        let verdict = classify(&degs);
-        let paths = path_metrics(g);
-        let spectral = if g.node_count() <= SPECTRAL_LIMIT && g.node_count() > 0 {
-            Some(spectral_summary(g))
-        } else {
-            None
-        };
-        MetricReport {
-            name: name.into(),
-            nodes: g.node_count(),
-            edges: g.edge_count(),
-            components: component_count(g),
-            giant_fraction: if g.node_count() > 0 {
-                largest_component_size(g) as f64 / g.node_count() as f64
-            } else {
-                0.0
-            },
-            degree: summarize(g),
-            powerlaw_exponent: verdict.power.map(|f| f.exponent),
-            tail: verdict.class,
-            mean_clustering: mean_clustering(g),
-            assortativity: assortativity(g),
-            mean_distance: paths.mean_distance,
-            diameter: paths.diameter,
-            expansion3: expansion_at(g, 3),
-            resilience: mean_pairwise_connectivity(g),
-            distortion: distortion(g),
-            hierarchy: hierarchy(g),
-            spectral_radius: spectral.map(|s| s.radius),
-            algebraic_connectivity: spectral.map(|s| s.algebraic_connectivity),
-        }
+        let n = g.node_count();
+        let spectral = (n > 0 && n <= SPECTRAL_LIMIT).then(|| SpectralSummary::prepare(g));
+        std::thread::scope(|scope| {
+            let worker = spectral.map(|mut solve| {
+                scope.spawn(move || {
+                    solve.solve();
+                    solve
+                })
+            });
+            let degs = g.degree_sequence();
+            let verdict = classify(&degs);
+            let paths = path_metrics(g);
+            let mut report = MetricReport {
+                name: name.into(),
+                nodes: n,
+                edges: g.edge_count(),
+                components: component_count(g),
+                giant_fraction: if n > 0 {
+                    largest_component_size(g) as f64 / n as f64
+                } else {
+                    0.0
+                },
+                degree: summarize(g),
+                powerlaw_exponent: verdict.power.map(|f| f.exponent),
+                tail: verdict.class,
+                mean_clustering: mean_clustering(g),
+                assortativity: assortativity(g),
+                mean_distance: paths.mean_distance,
+                diameter: paths.diameter,
+                expansion3: expansion_at(g, 3),
+                resilience: mean_pairwise_connectivity(g),
+                distortion: distortion(g),
+                hierarchy: hierarchy(g),
+                spectral_radius: None,
+                algebraic_connectivity: None,
+            };
+            if let Some(worker) = worker {
+                let solve = worker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                let s = SpectralSummary::of(&solve);
+                report.spectral_radius = Some(s.radius);
+                report.algebraic_connectivity = Some(s.algebraic_connectivity);
+            }
+            report
+        })
     }
 
     /// The full metric vector as ordered `(key, value)` pairs — the
@@ -210,6 +239,7 @@ impl MetricReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spectral::spectral_summary;
     use hot_graph::graph::Graph;
 
     fn star(n: usize) -> Graph<(), ()> {
@@ -281,6 +311,111 @@ mod tests {
         assert!(r.spectral_radius.is_none());
         // Row must render without panicking.
         assert!(!r.row().is_empty());
+    }
+
+    /// The public metric functions called one at a time on the caller's
+    /// thread and composed field by field: the serial form of
+    /// [`MetricReport::compute`].
+    fn serial_report<N, E>(name: &str, g: &Graph<N, E>) -> MetricReport {
+        let n = g.node_count();
+        let verdict = classify(&g.degree_sequence());
+        let paths = path_metrics(g);
+        let spectral = (n > 0 && n <= SPECTRAL_LIMIT).then(|| spectral_summary(g));
+        MetricReport {
+            name: name.into(),
+            nodes: n,
+            edges: g.edge_count(),
+            components: component_count(g),
+            giant_fraction: if n > 0 {
+                largest_component_size(g) as f64 / n as f64
+            } else {
+                0.0
+            },
+            degree: summarize(g),
+            powerlaw_exponent: verdict.power.map(|f| f.exponent),
+            tail: verdict.class,
+            mean_clustering: mean_clustering(g),
+            assortativity: assortativity(g),
+            mean_distance: paths.mean_distance,
+            diameter: paths.diameter,
+            expansion3: expansion_at(g, 3),
+            resilience: mean_pairwise_connectivity(g),
+            distortion: distortion(g),
+            hierarchy: hierarchy(g),
+            spectral_radius: spectral.map(|s| s.radius),
+            algebraic_connectivity: spectral.map(|s| s.algebraic_connectivity),
+        }
+    }
+
+    /// Every field of a report, floats as their bits.
+    fn bits(r: &MetricReport) -> Vec<(&'static str, String)> {
+        r.key_values()
+            .into_iter()
+            .map(|(key, value)| {
+                let value = match value {
+                    MetricValue::Int(i) => i.to_string(),
+                    MetricValue::Float(f) => format!("{:#x}", f.to_bits()),
+                    MetricValue::OptFloat(o) => format!("{:?}", o.map(f64::to_bits)),
+                    MetricValue::Text(s) => s,
+                };
+                (key, value)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compute_matches_the_serial_composition_bit_for_bit() {
+        use hot_baselines::{ba, glp};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(20030617);
+        let ba = ba::generate(160, 2, &mut rng);
+        let glp_config = glp::GlpConfig {
+            n: 160,
+            ..glp::GlpConfig::default()
+        };
+        let glp = glp::generate(&glp_config, &mut rng);
+        // A 30-node path with 20 leaves on one end: its Fiedler solve
+        // runs to the 10k-step cap.
+        let mut broom_edges: Vec<(usize, usize, ())> = (1..30).map(|v| (v - 1, v, ())).collect();
+        broom_edges.extend((30..50).map(|v| (0, v, ())));
+        let broom = Graph::from_edges(50, broom_edges);
+        let multigraph = Graph::from_edges(
+            6,
+            [
+                (0, 1),
+                (0, 1),
+                (1, 2),
+                (2, 0),
+                (2, 3),
+                (3, 4),
+                (3, 4),
+                (3, 4),
+                (4, 5),
+            ]
+            .map(|(a, b)| (a, b, ())),
+        );
+        let single: Graph<(), ()> = Graph::from_edges(1, Vec::new());
+        let long_path = Graph::from_edges(
+            SPECTRAL_LIMIT + 1,
+            (0..SPECTRAL_LIMIT)
+                .map(|i| (i, i + 1, ()))
+                .collect::<Vec<_>>(),
+        );
+        let cases = [
+            ("ba", &ba, true),
+            ("glp", &glp, true),
+            ("broom", &broom, true),
+            ("multigraph", &multigraph, true),
+            ("empty", &Graph::new(), false),
+            ("single", &single, true),
+            ("long-path", &long_path, false),
+        ];
+        for (name, g, spectral) in cases {
+            let r = MetricReport::compute(name, g);
+            assert_eq!(bits(&r), bits(&serial_report(name, g)), "{}", name);
+            assert_eq!(r.spectral_radius.is_some(), spectral, "{}", name);
+            assert_eq!(r.algebraic_connectivity.is_some(), spectral, "{}", name);
+        }
     }
 
     #[test]

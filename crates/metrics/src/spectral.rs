@@ -6,6 +6,7 @@
 //! graphs can share a degree sequence and differ in their spectra.
 
 use hot_graph::graph::Graph;
+use hot_graph::spectral::SpectralSolve;
 
 /// Spectral summary of a graph.
 #[derive(Clone, Copy, Debug)]
@@ -18,17 +19,39 @@ pub struct SpectralSummary {
     pub algebraic_connectivity: f64,
 }
 
+impl SpectralSummary {
+    /// Prepares the summary's solves: the top two adjacency eigenvalues
+    /// and the Fiedler value.
+    pub(crate) fn prepare<N, E>(g: &Graph<N, E>) -> SpectralSolve {
+        SpectralSolve::prepare(g, 2, true)
+    }
+
+    /// The summary of a solve from [`prepare`](Self::prepare), once run.
+    pub(crate) fn of(solve: &SpectralSolve) -> Self {
+        let mut top = solve.top_adjacency_eigenvalues();
+        SpectralSummary {
+            radius: top.next().unwrap_or(0.0),
+            second: top.next().unwrap_or(0.0),
+            algebraic_connectivity: solve.algebraic_connectivity(),
+        }
+    }
+}
+
 /// Computes the spectral summary: two deflated adjacency solves and one
 /// Fiedler solve, each O(n + m) per power-iteration step and linear in
 /// memory. Slow-converging graphs (trees) run up to the 10k-step cap,
 /// so the report module still skips it above a few thousand nodes.
+///
+/// Runs on the caller's thread. [`MetricReport::compute`] runs the same
+/// solves on one scoped worker thread while it computes the other
+/// metrics; the solves read only their own prepared buffers, so both
+/// give the same bits whatever the scheduling.
+///
+/// [`MetricReport::compute`]: crate::report::MetricReport::compute
 pub fn spectral_summary<N, E>(g: &Graph<N, E>) -> SpectralSummary {
-    let top = hot_graph::spectral::top_adjacency_eigenvalues(g, 2);
-    SpectralSummary {
-        radius: top.first().copied().unwrap_or(0.0),
-        second: top.get(1).copied().unwrap_or(0.0),
-        algebraic_connectivity: hot_graph::spectral::algebraic_connectivity(g),
-    }
+    let mut solve = SpectralSummary::prepare(g);
+    solve.solve();
+    SpectralSummary::of(&solve)
 }
 
 #[cfg(test)]
