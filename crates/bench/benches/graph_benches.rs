@@ -2,7 +2,6 @@
 //! leans on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hot_graph::betweenness::betweenness;
 use hot_graph::csr::CsrGraph;
 use hot_graph::flow::max_flow;
 use hot_graph::graph::{Graph, NodeId};
@@ -60,7 +59,9 @@ fn bench_graph(c: &mut Criterion) {
     let small = grid(20, 20);
     let mut heavy = c.benchmark_group("graph_grid20x20_heavy");
     heavy.sample_size(10);
-    heavy.bench_function("betweenness", |b| b.iter(|| black_box(betweenness(&small))));
+    heavy.bench_function("betweenness", |b| {
+        b.iter(|| black_box(par_betweenness(&CsrGraph::from_graph(&small), 1)))
+    });
     heavy.bench_function("spectral_radius", |b| {
         b.iter(|| black_box(spectral_radius(&small)))
     });

@@ -1,23 +1,11 @@
-//! # hot-bench — the experiment harness
+//! # hot-bench — the criterion benches
 //!
-//! One binary per experiment (`exp_e1_*` … `exp_e14_*`), each a thin
-//! wrapper over the `hot-exp` scenario registry: it runs the registered
-//! scenario at full scale and prints the human rendering of the
-//! structured report. The shared fixtures (seed, standard geography)
-//! live in `hot_exp::fixtures` and are re-exported here for the
-//! criterion benches.
-//!
-//! Run an experiment with, e.g.:
-//!
-//! ```text
-//! cargo run --release -p hot-bench --bin exp_e3_buyatbulk_degree
-//! ```
-//!
-//! or drive the whole registry (seeds, scales, JSON export) with:
-//!
-//! ```text
-//! cargo run --release -p hot-exp --bin expctl -- --list
-//! ```
+//! The bench targets under `benches/` time the graph kernels, the
+//! generators, the metric battery, and the simulation engines (e.g.
+//! `cargo bench -p hot-bench --bench graph_benches`); this library
+//! re-exports the shared fixtures from `hot_exp::fixtures` for them.
+//! The experiments run through `expctl`, e.g.
+//! `cargo run --release -p hot-exp --bin expctl -- --run e3 --scale full`.
 
 pub use hot_exp::fixtures::{standard_geography, SEED};
 

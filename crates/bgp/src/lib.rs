@@ -25,8 +25,8 @@
 //!   thread count.
 //!
 //! Scenario E17 (`policy-routing` in `hot-exp`) drives this over HOT
-//! and degree-based internets; `hot-sim::bgp` keeps the small
-//! per-source distance query used by E13.
+//! and degree-based internets, and E13 (`policy-inflation`) computes its
+//! inflation ratios with the same per-source kernel.
 
 pub mod propagate;
 pub mod summary;

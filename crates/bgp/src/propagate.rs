@@ -312,6 +312,24 @@ mod tests {
     }
 
     #[test]
+    fn no_peer_crossing_after_descent() {
+        // 0 → 2 → 4 and 1 → 3 transit, 2 – 3 peers, no tier-1 peering.
+        // From 0 the only path to 3 descends to 2 and then crosses the
+        // peer link: a valley, so policy denies it. Climbing from 4 to 2
+        // and then crossing is legal. (Classes do not affect distances.)
+        let t = AsTopology::from_relationships(
+            5,
+            &[(0, 2), (1, 3), (2, 4)],
+            &[(2, 3)],
+            vec![AsClass::Tier2; 5],
+        )
+        .unwrap();
+        assert_eq!(t.propagate(0).dist[3], UNREACHED);
+        assert_eq!(t.shortest(0)[3], 2);
+        assert_eq!(t.propagate(4).dist[3], 2);
+    }
+
+    #[test]
     fn one_peer_crossing_only() {
         // Chain of peers: 0 - 1 - 2 (all tier-1). Valley-freedom allows
         // exactly one peer hop, so 0 cannot reach 2.

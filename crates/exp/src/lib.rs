@@ -3,9 +3,9 @@
 //! Every experiment E1–E20 from the reproduction lives here as a
 //! registered [`registry::ScenarioSpec`]: a named, seeded, pure function
 //! from parameters to a structured [`report::ExpReport`]. One driver —
-//! the `expctl` binary — lists, runs, and exports them; the legacy
-//! `exp_e*` binaries in `hot-bench` are thin wrappers that run one
-//! scenario at full scale and print the human rendering.
+//! the `expctl` binary — lists, runs, and exports them
+//! (`expctl --run e3 --scale full` prints one scenario's human
+//! rendering at full scale).
 //!
 //! Design rules the whole module tree obeys:
 //!
@@ -16,7 +16,7 @@
 //!   byte-identical JSON.
 //! - **Two scales.** Each scenario ships `Params::golden()` (seconds,
 //!   exercised by the golden-snapshot suite on every `cargo test`) and
-//!   `Params::full()` (the paper-sized tables the binaries print).
+//!   `Params::full()` (the paper-sized tables, `--scale full`).
 //! - **No panics on degenerate input.** Scenarios return a report
 //!   marked skipped ([`report::ExpReport::into_skipped`]) instead of
 //!   unwrapping on empty graphs or zero-sized parameter sets.
@@ -31,19 +31,3 @@ pub use fixtures::{standard_geography, SEED};
 pub use jsonout::Json;
 pub use registry::{registry, RunCtx, Scale, ScenarioSpec};
 pub use report::{ExpReport, ExpStatus, Section, Table};
-
-/// Runs one registered scenario at full scale with the canonical seed and
-/// prints the human rendering — the entire body of each `exp_e*` binary.
-///
-/// Panics if `id` is not registered; the binaries pass literals.
-pub fn print_scenario(id: &str) {
-    let spec =
-        registry::find(id).unwrap_or_else(|| panic!("scenario {:?} is not in the registry", id));
-    let ctx = RunCtx {
-        scale: Scale::Full,
-        seed: SEED,
-        threads: hot_graph::parallel::default_threads(),
-        snapshot_dir: None,
-    };
-    print!("{}", (spec.run)(ctx).render_text());
-}

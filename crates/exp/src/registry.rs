@@ -17,7 +17,7 @@ pub enum Scale {
     /// Small fixed sizes: seconds per scenario, used by the
     /// golden-snapshot suite and CI smoke runs.
     Golden,
-    /// Paper-sized tables, what the `exp_e*` binaries print.
+    /// Paper-sized tables, `expctl`'s default scale.
     Full,
 }
 

@@ -15,10 +15,13 @@ use crate::report::{ExpReport, Section, Table};
 use hot_core::isp::backbone::BackboneConfig;
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_core::isp::{LinkKind, RouterRole};
-use hot_graph::graph::NodeId;
+use hot_graph::csr::CsrGraph;
+use hot_graph::graph::{Graph, NodeId};
+use hot_graph::parallel::bfs_forest;
+use hot_metrics::hierarchy::gini;
 use hot_metrics::surrogate::degree_surrogate;
 use hot_sim::failure::single_link_failures;
-use hot_sim::routing::{load_gini, route, Demand, IgpMetric, RoutingOutcome};
+use hot_sim::traffic::{naive_link_load, Demand, TrafficLoads};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -93,14 +96,32 @@ fn customer_demands(isp: &hot_core::isp::IspTopology, pairs: usize) -> Vec<Deman
     out
 }
 
-fn outcome_row(name: &str, outcome: &RoutingOutcome) -> Vec<Json> {
+/// Routes the explicit flow list on `g`'s hop-count BFS trees (first
+/// discovery in adjacency order), one tree per distinct source.
+fn route_flows<N, E>(g: &Graph<N, E>, flows: &[Demand], threads: usize) -> TrafficLoads {
+    let csr = CsrGraph::from_graph(g);
+    let mut sources: Vec<NodeId> = flows.iter().map(|f| f.src).collect();
+    sources.sort_unstable();
+    sources.dedup();
+    naive_link_load(&csr, &bfs_forest(&csr, &sources, threads), flows)
+}
+
+fn outcome_row(name: &str, loads: &TrafficLoads) -> Vec<Json> {
+    let links = loads.link_load.len();
+    let positive: Vec<f64> = loads
+        .link_load
+        .iter()
+        .copied()
+        .filter(|&l| l > 0.0)
+        .collect();
     vec![
         Json::str(name),
-        outcome.unrouted.len().into(),
-        Json::Float(outcome.mean_hops()),
-        Json::Float(outcome.max_load()),
-        Json::Float(load_gini(outcome)),
-        Json::Float(outcome.idle_fraction()),
+        (loads.unrouted_flows as usize).into(),
+        Json::Float(loads.mean_hops()),
+        Json::Float(loads.max_load()),
+        Json::Float(gini(&positive)),
+        // Idle fraction: links carrying nothing (0 on a linkless graph).
+        Json::Float((links - positive.len()) as f64 / links.max(1) as f64),
     ]
 }
 
@@ -142,9 +163,9 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         return report
             .into_skipped("the generated ISP has fewer than 2 customer routers to route between");
     }
-    // Hop-count routing rides the CSR BFS kernel: one flat-array BFS per
-    // distinct source instead of a heap-based Dijkstra.
-    let outcome = route(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    // Unit amounts keep every per-link sum an exact integer, whatever
+    // order the flows are walked in.
+    let outcome = route_flows(&isp.graph, &demands, ctx.threads);
     let mut load_table = Table::new(&[
         "topology", "unrouted", "meanhops", "maxload", "gini", "idle",
     ]);
@@ -161,7 +182,7 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         }
     }
     let surrogate = degree_surrogate(&isp.graph, 10, &mut StdRng::seed_from_u64(ctx.seed + 1));
-    let s_outcome = route(&surrogate, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let s_outcome = route_flows(&surrogate, &demands, ctx.threads);
     load_table.push(outcome_row("isp-surrogate", &s_outcome));
     report.section(
         Section::new("load on the designed ISP vs its degree-preserving surrogate")
@@ -213,8 +234,7 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             .map(|e| bb_isp.graph.edge_weight(e).kind == LinkKind::Backbone)
             .collect();
         let backbone_graph = bb_isp.graph.edge_subgraph(&keep);
-        let summary =
-            single_link_failures(&backbone_graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+        let summary = single_link_failures(&backbone_graph, &demands);
         fail_table.push(vec![
             Json::str(name),
             Json::Float(summary.stranding_fraction),

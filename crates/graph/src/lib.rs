@@ -18,14 +18,13 @@
 //! |---|---|
 //! | [`graph`] | [`Graph`], [`NodeId`], [`EdgeId`] — undirected annotated multigraph |
 //! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels |
-//! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness`, `par_path_summary`, `par_avg_path_length` |
+//! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness` (Brandes, unweighted), `par_path_summary`, `par_avg_path_length` |
 //! | [`unionfind`] | disjoint-set forest used by Kruskal and component bookkeeping |
 //! | [`traversal`] | BFS/DFS orders, hop distances, connected components |
 //! | [`shortest_path`] | Dijkstra (binary heap), Bellman–Ford oracle, path extraction |
 //! | [`mst`] | Kruskal and Prim minimum spanning trees/forests |
 //! | [`tree`] | rooted-tree views: parents, depths, subtree sizes, leaves |
 //! | [`degree`] | degree sequences, histograms, CCDFs |
-//! | [`betweenness`] | Brandes betweenness centrality (unweighted) |
 //! | [`spectral`] | adjacency/Laplacian spectra via power iteration |
 //! | [`flow`] | Edmonds–Karp max-flow / min-cut |
 //! | [`kcore`] | k-core decomposition |
@@ -49,7 +48,6 @@
 //! assert!((tree.total_weight - 3.0).abs() < 1e-12);
 //! ```
 
-pub mod betweenness;
 pub mod csr;
 pub mod degree;
 pub mod epoch;

@@ -187,9 +187,8 @@ impl BfsForest {
 /// unordered pair counted once, endpoints excluded) computed on `threads`
 /// worker threads.
 ///
-/// Output is bit-identical for every thread count — see the module docs —
-/// and matches [`crate::betweenness::betweenness`], which is the 1-thread
-/// run of this kernel.
+/// Output is bit-identical for every thread count — see the module docs
+/// — so the 1-thread run is the serial reference.
 pub fn par_betweenness(csr: &CsrGraph, threads: usize) -> Vec<f64> {
     let n = csr.node_count();
     if n == 0 {
@@ -363,6 +362,8 @@ pub fn par_avg_path_length(csr: &CsrGraph, threads: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::graph::Graph;
+    use crate::shortest_path::bellman_ford;
+    use proptest::prelude::*;
 
     fn grid(w: usize, h: usize) -> Graph<(), ()> {
         let mut g: Graph<(), ()> = Graph::new();
@@ -457,6 +458,48 @@ mod tests {
         assert_eq!(par_betweenness(&CsrGraph::from_graph(&one), 4), vec![0.0]);
     }
 
+    /// Hand-computed betweenness on small graphs (each unordered pair
+    /// counted once, endpoints excluded).
+    #[test]
+    fn par_betweenness_small_graphs_exact() {
+        let cases: [(&str, usize, Vec<(usize, usize)>, Vec<f64>); 4] = [
+            // The center of 0-1-2-3-4 lies on (0,3),(0,4),(1,3),(1,4).
+            (
+                "path",
+                5,
+                vec![(0, 1), (1, 2), (2, 3), (3, 4)],
+                vec![0.0, 3.0, 4.0, 3.0, 0.0],
+            ),
+            // 4 leaves -> C(4,2) = 6 pairs, all through the hub.
+            (
+                "star",
+                5,
+                (1..5).map(|i| (0, i)).collect(),
+                vec![6.0, 0.0, 0.0, 0.0, 0.0],
+            ),
+            // Each opposite pair has two shortest paths, so each of its
+            // two intermediates gets half the credit.
+            (
+                "cycle",
+                4,
+                vec![(0, 1), (1, 2), (2, 3), (3, 0)],
+                vec![0.5; 4],
+            ),
+            ("disconnected", 4, vec![(0, 1), (2, 3)], vec![0.0; 4]),
+        ];
+        for (name, n, edges, want) in cases {
+            let g: Graph<(), ()> = Graph::from_edges(n, edges.into_iter().map(|(a, b)| (a, b, ())));
+            for threads in [1, 3] {
+                assert_eq!(
+                    par_betweenness(&CsrGraph::from_graph(&g), threads),
+                    want,
+                    "{}",
+                    name
+                );
+            }
+        }
+    }
+
     /// With pivots = all nodes the sampled estimator must reproduce the
     /// exact kernel bit-for-bit (same chunking, same accumulation order,
     /// ×0.5 scaling == ÷2).
@@ -525,5 +568,30 @@ mod tests {
         assert!((par_avg_path_length(&csr, 3) - 1.0).abs() < 1e-12);
         let empty: Graph<(), ()> = Graph::new();
         assert_eq!(par_avg_path_length(&CsrGraph::from_graph(&empty), 2), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Identity: on any connected graph, the total betweenness equals
+        /// the total interior length of shortest paths,
+        /// Σ_v B(v) = Σ_{u<w} (d(u, w) − 1).
+        #[test]
+        fn par_betweenness_sums_to_path_interiors(
+            n in 2usize..10,
+            extra in proptest::collection::vec((0usize..10, 0usize..10), 0..16),
+        ) {
+            // A spanning path for connectivity, then chords.
+            let chords = extra.into_iter().map(|(a, b)| (a % n, b % n)).filter(|(a, b)| a != b);
+            let edges = (1..n).map(|i| (i - 1, i)).chain(chords).map(|(a, b)| (a, b, 1.0));
+            let g: Graph<(), f64> = Graph::from_edges(n, edges);
+            let total_b: f64 = par_betweenness(&CsrGraph::from_graph(&g), 2).iter().sum();
+            let mut interior = 0.0;
+            for u in 0..n {
+                let dist = bellman_ford(&g, NodeId(u as u32), |_, _| 1.0);
+                interior += dist[u + 1..].iter().map(|d| d - 1.0).sum::<f64>();
+            }
+            prop_assert!((total_b - interior).abs() < 1e-6,
+                "sum B = {} vs interior length {}", total_b, interior);
+        }
     }
 }

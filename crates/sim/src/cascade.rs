@@ -17,8 +17,7 @@
 //! round by round.
 
 use crate::demand::OdDemand;
-use crate::routing::Demand;
-use crate::traffic::{link_loads, naive_link_load, RoutePolicy, TrafficLoads};
+use crate::traffic::{link_loads, naive_link_load, Demand, RoutePolicy, TrafficLoads};
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::NodeId;
 use hot_graph::parallel::bfs_forest;

@@ -23,7 +23,7 @@
 //! draws from a seeded RNG in node order, so a fixed seed regenerates
 //! the same matrix byte-for-byte.
 
-use crate::routing::Demand;
+use crate::traffic::Demand;
 use hot_geo::point::Point;
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::NodeId;

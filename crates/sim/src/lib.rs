@@ -11,22 +11,21 @@
 //! | module | what it simulates | paper anchor |
 //! |---|---|---|
 //! | [`demand`] | gravity/uniform/rank-biased OD demand matrices | §2.1 ("pipes between big cities") |
-//! | [`traffic`] | batched million-flow link-load simulation, ECMP (plain + weighted) | §1 ("dramatic impact on performance") |
+//! | [`traffic`] | link loads: per-flow over explicit flow lists, batched million-flow sweeps, ECMP (plain + weighted) | §1 ("dramatic impact on performance") |
 //! | [`te`] | iterative weight-tuning that minimizes max utilization | §2.1 capacity-constrained design |
 //! | [`cascade`] | overload cascades: fail past-capacity links, re-route to a fixed point | §3.1 robustness under surges |
-//! | [`routing`] | intradomain shortest-path routing, per-link load, utilization | §1 ("dramatic impact on performance") |
 //! | [`failure`] | single-link failures: re-routing stretch, load redistribution | §3.1 robustness; §4 fn.7 redundancy |
-//! | [`bgp`] | valley-free (Gao–Rexford) interdomain paths, policy inflation | §2.3 peering economics |
 //! | [`traceroute`] | vantage-point path sampling, inferred-map bias | §1/§3.2 incomplete measured maps |
 //! | [`probe`] | batched million-probe campaigns over CSR, bit-identical to [`traceroute`] | §1/§3.2 measurement at scale |
+//!
+//! Valley-free (Gao–Rexford) interdomain routing and policy inflation
+//! (§2.3 peering economics) live in the `hot-bgp` crate.
 
-pub mod bgp;
 pub mod cascade;
 pub mod demand;
 pub mod evolve;
 pub mod failure;
 pub mod probe;
-pub mod routing;
 pub mod te;
 pub mod traceroute;
 pub mod traffic;

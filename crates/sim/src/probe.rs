@@ -300,7 +300,7 @@ pub fn run_campaign(csr: &CsrGraph, campaign: &ProbeCampaign, threads: usize) ->
             for i in range {
                 let v = campaign.vantages[i];
                 if v.index() >= n {
-                    continue; // unrouted vantage, like infer_map/route()
+                    continue; // unrouted vantage, like infer_map
                 }
                 if campaign.destinations.is_some() {
                     advance_epoch(scratch);

@@ -76,8 +76,8 @@ impl InferredMap {
 /// Destinations: all nodes when `destinations` is `None`, else the given
 /// subset. Unreachable destinations are silently skipped (exactly like a
 /// traceroute timing out), and so are out-of-range vantage or
-/// destination ids — the convention `route()` and the BGP distance
-/// queries follow for unrouted addresses. This used to index
+/// destination ids — the convention `traffic::naive_link_load` and the
+/// `hot-bgp` distance queries follow for unrouted addresses. This used to index
 /// `node_seen` with the raw id and panic.
 pub fn infer_map<N, E>(
     truth: &Graph<N, E>,

@@ -1,10 +1,10 @@
 //! Batched, deterministic link-load simulation.
 //!
-//! [`crate::routing::route`] walks every flow's path edge by edge — fine
-//! for thousands of demands, hopeless for the all-pairs workloads the
-//! demand models in [`crate::demand`] describe (millions of OD flows).
-//! This engine routes those workloads in O(n + m) per *source* instead
-//! of O(path) per *flow*:
+//! [`naive_link_load`] walks every flow's path edge by edge — fine for
+//! an explicit list of thousands of flows, hopeless for the all-pairs
+//! workloads the demand models in [`crate::demand`] describe (millions
+//! of OD flows). The batched engine routes those workloads in O(n + m)
+//! per *source* instead of O(path) per *flow*:
 //!
 //! 1. one CSR BFS tree per source, computed once into reused scratch
 //!    ([`hot_graph::csr::CsrGraph::bfs_tree_into`]) and shared by every
@@ -36,15 +36,23 @@
 //! in floating point.
 
 use crate::demand::OdDemand;
-use crate::routing::Demand;
 use hot_graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
+use hot_graph::graph::NodeId;
 use hot_graph::parallel::{run_chunks, BfsForest};
+
+/// One explicit flow: `amount` of traffic from `src` to `dst`.
+#[derive(Clone, Copy, Debug)]
+pub struct Demand {
+    pub src: NodeId,
+    pub dst: NodeId,
+    pub amount: f64,
+}
 
 /// How a flow is mapped onto shortest paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// The deterministic BFS-tree path (first discovery in adjacency
-    /// order) — what [`crate::routing::route`] uses for hop counts.
+    /// order) — the path [`naive_link_load`] walks for each flow.
     TreePath,
     /// Equal-cost multipath: the flow splits over all shortest paths,
     /// proportionally to path counts (Brandes σ).
@@ -217,7 +225,7 @@ fn link_loads_inner(
                 if !any {
                     continue;
                 }
-                csr.bfs_tree_into(hot_graph::graph::NodeId(s as u32), &mut scratch.tree);
+                csr.bfs_tree_into(NodeId(s as u32), &mut scratch.tree);
                 if policy == RoutePolicy::Ecmp {
                     count_paths(csr, &scratch.tree, &mut scratch.sigma, weights);
                 }
@@ -356,12 +364,14 @@ fn accumulate_source(
     acc[tree.source.index()] = 0.0;
 }
 
-/// The per-flow reference engine: walks every flow's tree path edge by
-/// edge over a prebuilt [`BfsForest`] (the multi-source tree cache).
-/// Semantically [`crate::routing::route`] with `IgpMetric::HopCount`;
-/// kept as the differential/speedup baseline for the batched engine.
-/// Flows whose source has no tree in the forest — or whose endpoints
-/// lie outside the graph — count as unrouted.
+/// The per-flow engine: walks every flow's tree path edge by edge over a
+/// prebuilt [`BfsForest`] (the multi-source tree cache), adding each
+/// flow's amount to its links in input order. It routes explicit flow
+/// lists (E12's customer pairs) and is the differential/speedup oracle
+/// for the batched engine, which it matches bit for bit on
+/// integer-valued demands. Flows whose source has no tree in the
+/// forest — or whose endpoints lie outside the graph — count as
+/// unrouted.
 pub fn naive_link_load(csr: &CsrGraph, forest: &BfsForest, flows: &[Demand]) -> TrafficLoads {
     let n = csr.node_count();
     let mut out = TrafficLoads::zero(csr.edge_count());
@@ -395,9 +405,9 @@ pub fn naive_link_load(csr: &CsrGraph, forest: &BfsForest, flows: &[Demand]) -> 
 mod tests {
     use super::*;
     use crate::demand::{DemandConfig, DemandMatrix, DemandModel};
-    use crate::routing::{route, IgpMetric};
-    use hot_graph::graph::{Graph, NodeId};
+    use hot_graph::graph::Graph;
     use hot_graph::parallel::bfs_forest;
+    use proptest::prelude::*;
 
     /// A demand given by an explicit dense matrix (tests only).
     struct Dense {
@@ -420,35 +430,60 @@ mod tests {
         (g, csr)
     }
 
+    fn flow(src: u32, dst: u32, amount: f64) -> Demand {
+        Demand {
+            src: NodeId(src),
+            dst: NodeId(dst),
+            amount,
+        }
+    }
+
+    /// Routes `flows` with [`naive_link_load`] over a forest of their
+    /// distinct in-range sources.
+    fn naive(csr: &CsrGraph, flows: &[Demand]) -> TrafficLoads {
+        let mut sources: Vec<NodeId> = flows
+            .iter()
+            .map(|f| f.src)
+            .filter(|s| s.index() < csr.node_count())
+            .collect();
+        sources.sort_unstable();
+        sources.dedup();
+        naive_link_load(csr, &bfs_forest(csr, &sources, 1), flows)
+    }
+
     #[test]
-    fn batched_matches_route_on_path() {
-        let (g, csr) = path4();
+    fn batched_matches_naive_on_path() {
+        let (_, csr) = path4();
         let mut d = vec![0.0; 16];
         d[3] = 5.0; // 0 -> 3
         d[1 * 4 + 2] = 2.0; // 1 -> 2
         let dense = Dense { n: 4, d };
         let loads = link_loads(&csr, &dense, RoutePolicy::TreePath, 2);
-        let flows = vec![
-            Demand {
-                src: NodeId(0),
-                dst: NodeId(3),
-                amount: 5.0,
-            },
-            Demand {
-                src: NodeId(1),
-                dst: NodeId(2),
-                amount: 2.0,
-            },
-        ];
-        let reference = route(&g, &flows, IgpMetric::HopCount, |_, _| 1.0);
-        assert_eq!(loads.link_load, reference.link_load);
-        assert_eq!(loads.routed_flows, 2);
-        assert_eq!(loads.unrouted_flows, 0);
-        assert!((loads.mean_hops() - reference.mean_hops()).abs() < 1e-12);
-        let forest = bfs_forest(&csr, &[NodeId(0), NodeId(1)], 1);
-        let naive = naive_link_load(&csr, &forest, &flows);
-        assert_eq!(naive.link_load, loads.link_load);
-        assert_eq!(naive.routed_traffic, loads.routed_traffic);
+        let naive = naive(&csr, &[flow(0, 3, 5.0), flow(1, 2, 2.0)]);
+        for out in [&loads, &naive] {
+            // Loads accumulate along the paths: 5 end to end, 2 in the
+            // middle; hops 5*3 + 2*1 = 17 over 7 units of traffic.
+            assert_eq!(out.link_load, vec![5.0, 7.0, 5.0]);
+            assert_eq!((out.routed_flows, out.unrouted_flows), (2, 0));
+            assert_eq!(out.routed_traffic, 7.0);
+            assert_eq!(out.mean_hops(), 17.0 / 7.0);
+        }
+    }
+
+    #[test]
+    fn naive_disconnected_flow_reported() {
+        let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (2, 3, ())]);
+        let csr = CsrGraph::from_graph(&g);
+        let out = naive(&csr, &[flow(0, 3, 4.0), flow(0, 1, 1.0)]);
+        assert_eq!(out.unrouted_flows, 1);
+        assert_eq!(out.unrouted_traffic, 4.0);
+        assert_eq!(out.routed_traffic, 1.0);
+        assert_eq!(out.link_load, vec![1.0, 0.0]);
+        // No flows at all: idle links, zero accounting.
+        let out = naive(&csr, &[]);
+        assert_eq!(out.link_load, vec![0.0; 2]);
+        assert_eq!(out.mean_hops(), 0.0);
+        assert_eq!(out.routed_flows + out.unrouted_flows, 0);
     }
 
     #[test]
@@ -646,22 +681,52 @@ mod tests {
     fn naive_missing_source_tree_is_unrouted() {
         let (_, csr) = path4();
         let forest = bfs_forest(&csr, &[NodeId(0)], 1);
+        // Regression: out-of-range endpoints are unrouted like a source
+        // without a tree, not an index panic.
         let flows = vec![
-            Demand {
-                src: NodeId(2),
-                dst: NodeId(3),
-                amount: 4.0,
-            },
-            // Regression: an out-of-range destination is unrouted like
-            // in route(), not an index panic.
-            Demand {
-                src: NodeId(0),
-                dst: NodeId(99),
-                amount: 1.5,
-            },
+            flow(2, 3, 4.0),
+            flow(0, 99, 1.5),
+            flow(99, 0, 0.5),
+            flow(0, 3, 1.0),
         ];
         let out = naive_link_load(&csr, &forest, &flows);
-        assert_eq!(out.unrouted_flows, 2);
-        assert_eq!(out.unrouted_traffic, 5.5);
+        assert_eq!(out.unrouted_flows, 3);
+        assert_eq!(out.unrouted_traffic, 6.0);
+        assert_eq!(out.routed_traffic, 1.0);
+        // The empty graph routes nothing either.
+        let empty = CsrGraph::from_graph(&Graph::<(), ()>::new());
+        let out = naive(&empty, &[flow(0, 1, 5.0)]);
+        assert_eq!(out.unrouted_flows, 1);
+        assert!(out.link_load.is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Conservation identity for the per-flow engine: total load
+        /// summed over links equals traffic × hops summed over routed
+        /// flows, and on a connected graph every offered unit routes.
+        #[test]
+        fn naive_load_equals_traffic_hops(
+            n in 2usize..12,
+            extra in proptest::collection::vec((0usize..12, 0usize..12), 0..14),
+            pairs in proptest::collection::vec((0usize..12, 0usize..12, 0.1f64..5.0), 1..10),
+        ) {
+            // A spanning path keeps the graph connected; chords add
+            // alternative routes.
+            let chords = extra.into_iter().map(|(a, b)| (a % n, b % n)).filter(|(a, b)| a != b);
+            let edges = (1..n).map(|i| (i - 1, i)).chain(chords).map(|(a, b)| (a, b, ()));
+            let csr = CsrGraph::from_graph(&Graph::<(), ()>::from_edges(n, edges));
+            let flows: Vec<Demand> = pairs
+                .into_iter()
+                .map(|(a, b, amount)| flow((a % n) as u32, (b % n) as u32, amount))
+                .filter(|f| f.src != f.dst)
+                .collect();
+            let out = naive(&csr, &flows);
+            prop_assert_eq!(out.unrouted_flows, 0);
+            prop_assert!((out.total_load() - out.traffic_hops).abs() < 1e-9,
+                "sum load {} vs traffic-hops {}", out.total_load(), out.traffic_hops);
+            let offered: f64 = flows.iter().map(|f| f.amount).sum();
+            prop_assert!((out.routed_traffic - offered).abs() < 1e-9);
+        }
     }
 }

@@ -6,9 +6,12 @@
 //! cargo run --release --example routing_study
 //! ```
 
+use hotgen::graph::csr::CsrGraph;
+use hotgen::graph::parallel::{bfs_forest, default_threads};
+use hotgen::metrics::hierarchy::gini;
 use hotgen::prelude::*;
 use hotgen::sim::failure::single_link_failures;
-use hotgen::sim::routing::{load_gini, route, Demand, IgpMetric};
+use hotgen::sim::traffic::{naive_link_load, Demand};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,14 +51,11 @@ fn main() {
         })
         .filter(|d| d.src != d.dst)
         .collect();
-    let outcome = route(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
-    println!(
-        "routed {} demands at mean {:.1} hops; load gini {:.2}; max link load {:.0}",
-        demands.len() - outcome.unrouted.len(),
-        outcome.mean_hops(),
-        load_gini(&outcome),
-        outcome.max_load()
-    );
+    // Hop-count routing: one BFS tree per customer, each flow walked
+    // along its source's tree path.
+    let csr = CsrGraph::from_graph(&isp.graph);
+    let forest = bfs_forest(&csr, &customers, default_threads());
+    let outcome = naive_link_load(&csr, &forest, &demands);
     // Which links carry the most? (Spoiler: the trunks the design sized.)
     let mut loaded: Vec<(usize, f64)> = outcome
         .link_load
@@ -64,6 +64,14 @@ fn main() {
         .filter(|(_, &l)| l > 0.0)
         .map(|(e, &l)| (e, l))
         .collect();
+    let positive: Vec<f64> = loaded.iter().map(|&(_, l)| l).collect();
+    println!(
+        "routed {} demands at mean {:.1} hops; load gini {:.2}; max link load {:.0}",
+        outcome.routed_flows,
+        outcome.mean_hops(),
+        gini(&positive),
+        outcome.max_load()
+    );
     loaded.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
     println!("\ntop-5 loaded links:");
     for (e, load) in loaded.iter().take(5) {
@@ -74,7 +82,7 @@ fn main() {
         );
     }
     // Failure stress on the loaded links.
-    let summary = single_link_failures(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let summary = single_link_failures(&isp.graph, &demands);
     println!(
         "\nsingle-link failures over {} loaded links: {:.0}% strand traffic \
          (worst case {:.1}% of all traffic), survivors re-route at {:.3}x hops",

@@ -18,8 +18,9 @@
 //! - [`baselines`] — the descriptive generators the paper critiques
 //!   (`hot-baselines`);
 //! - [`metrics`] — the comparison battery (`hot-metrics`);
-//! - [`sim`] — protocols on top: routing load, failures, valley-free BGP,
-//!   traceroute-style map inference (`hot-sim`);
+//! - [`sim`] — protocols on top: demand models, link loads, failures,
+//!   traffic engineering and cascades, traceroute-style map inference
+//!   and probe campaigns, incremental growth (`hot-sim`);
 //! - [`bgp`] — the policy-routing subsystem: labeled AS topologies and
 //!   batched valley-free (Gao–Rexford) path propagation with
 //!   path-inflation and hierarchy-free analytics (`hot-bgp`).

@@ -1,17 +1,169 @@
 //! Integration tests for the `hot-bgp` policy-routing subsystem: the
 //! batched propagation must agree with the small reference
-//! implementation in `hot-sim::bgp` on generator-built internets, never
+//! implementation in [`oracle`] on generator-built internets, never
 //! beat the unrestricted shortest path, stay bit-identical across
 //! thread counts, and derive AS classes that match the economics the
-//! generator wired.
+//! generator wired. E13's policy-inflation ratios, which run on
+//! `hot-bgp`, must equal the oracle's bit for bit.
 
+use hot_exp::scenarios::e13::inflation_stats;
 use hotgen::bgp::{policy_summary, policy_summary_all, AsClass, AsTopology, UNREACHED};
 use hotgen::core::isp::generator::IspConfig;
 use hotgen::core::peering::{generate_internet, Internet, InternetConfig};
-use hotgen::sim::bgp::AsNetwork;
+use oracle::{policy_inflation, AsNetwork};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The reference valley-free router: adjacency lists and per-source
+/// `(as, phase)` BFS over `Option` distances, written for clarity and
+/// independent of `hot-bgp`'s flat kernel.
+mod oracle {
+    use hotgen::core::peering::{Internet, Relationship};
+    use std::collections::VecDeque;
+
+    /// The AS-level relationship network: adjacency lists per AS.
+    pub struct AsNetwork {
+        /// `providers[a]` = ASes that sell transit *to* `a`.
+        pub providers: Vec<Vec<usize>>,
+        /// `customers[a]` = ASes that buy transit *from* `a`.
+        pub customers: Vec<Vec<usize>>,
+        /// `peers[a]` = settlement-free peers of `a`.
+        pub peers: Vec<Vec<usize>>,
+    }
+
+    impl AsNetwork {
+        /// Extracts the relationship network from a generated Internet;
+        /// duplicate links between a pair collapse to one adjacency.
+        pub fn from_internet(net: &Internet) -> Self {
+            let n = net.isps.len();
+            let mut providers = vec![Vec::new(); n];
+            let mut customers = vec![Vec::new(); n];
+            let mut peers = vec![Vec::new(); n];
+            for link in &net.peering {
+                match link.relationship {
+                    Relationship::PeerPeer => {
+                        peers[link.isp_a].push(link.isp_b);
+                        peers[link.isp_b].push(link.isp_a);
+                    }
+                    Relationship::ProviderCustomer => {
+                        // isp_a provides transit to isp_b.
+                        customers[link.isp_a].push(link.isp_b);
+                        providers[link.isp_b].push(link.isp_a);
+                    }
+                }
+            }
+            for lists in [&mut providers, &mut customers, &mut peers] {
+                for v in lists.iter_mut() {
+                    v.sort_unstable();
+                    v.dedup();
+                }
+            }
+            AsNetwork {
+                providers,
+                customers,
+                peers,
+            }
+        }
+
+        pub fn len(&self) -> usize {
+            self.providers.len()
+        }
+
+        /// Shortest valley-free AS-path length from `src` to every AS
+        /// (`None` = denied by policy). Phases: 0 = climbing (provider
+        /// links, one peer link, or turn downhill), 1 = crossed the peer
+        /// link, 2 = descending; after phase 0 only customer links.
+        pub fn valley_free_distances(&self, src: usize) -> Vec<Option<u32>> {
+            let mut dist = vec![[None::<u32>; 3]; self.len()];
+            let mut queue = VecDeque::new();
+            dist[src][0] = Some(0);
+            queue.push_back((src, 0usize, 0u32));
+            while let Some((a, phase, d)) = queue.pop_front() {
+                let mut moves: Vec<(usize, usize)> = Vec::new();
+                if phase == 0 {
+                    moves.extend(self.providers[a].iter().map(|&p| (p, 0)));
+                    moves.extend(self.peers[a].iter().map(|&p| (p, 1)));
+                }
+                moves.extend(self.customers[a].iter().map(|&c| (c, 2)));
+                for (b, next) in moves {
+                    if dist[b][next].is_none() {
+                        dist[b][next] = Some(d + 1);
+                        queue.push_back((b, next, d + 1));
+                    }
+                }
+            }
+            dist.into_iter()
+                .map(|per_phase| per_phase.into_iter().flatten().min())
+                .collect()
+        }
+
+        /// Shortest unrestricted AS-path length from `src` (policy
+        /// ignored).
+        pub fn shortest_distances(&self, src: usize) -> Vec<Option<u32>> {
+            let mut dist = vec![None::<u32>; self.len()];
+            let mut queue = VecDeque::new();
+            dist[src] = Some(0);
+            queue.push_back((src, 0u32));
+            while let Some((a, d)) = queue.pop_front() {
+                for nbrs in [&self.providers[a], &self.customers[a], &self.peers[a]] {
+                    for &b in nbrs {
+                        if dist[b].is_none() {
+                            dist[b] = Some(d + 1);
+                            queue.push_back((b, d + 1));
+                        }
+                    }
+                }
+            }
+            dist
+        }
+    }
+
+    /// Policy-inflation ratios over all ordered AS pairs: policy
+    /// reachability, mean valley-free / shortest length, the strictly
+    /// inflated fraction, and the maximum ratio.
+    pub fn policy_inflation(net: &AsNetwork) -> [f64; 4] {
+        let n = net.len();
+        let mut reach_shortest = 0usize;
+        let mut reach_policy = 0usize;
+        let mut inflation_sum = 0.0;
+        let mut inflated = 0usize;
+        let mut compared = 0usize;
+        let mut max_inflation = 1.0f64;
+        for src in 0..n {
+            let vf = net.valley_free_distances(src);
+            let sp = net.shortest_distances(src);
+            for dst in (0..n).filter(|&dst| dst != src) {
+                if let Some(s) = sp[dst] {
+                    reach_shortest += 1;
+                    if let Some(v) = vf[dst] {
+                        reach_policy += 1;
+                        let ratio = v as f64 / s as f64;
+                        inflation_sum += ratio;
+                        compared += 1;
+                        max_inflation = max_inflation.max(ratio);
+                        if v > s {
+                            inflated += 1;
+                        }
+                    }
+                }
+            }
+        }
+        let per = |x: f64, total: usize, empty: f64| {
+            if total > 0 {
+                x / total as f64
+            } else {
+                empty
+            }
+        };
+        [
+            per(reach_policy as f64, reach_shortest, 1.0),
+            per(inflation_sum, compared, 1.0),
+            per(inflated as f64, compared, 0.0),
+            max_inflation,
+        ]
+    }
+}
 
 /// A small generated internet: `n_isps` designed ISPs peered with
 /// `tier1` at the top and `transit` upstreams each.
@@ -66,6 +218,24 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// E13's ratios on the `hot-bgp` kernel equal the oracle's
+    /// `policy_inflation` bit for bit: same pairs, same order, same
+    /// floating-point sums.
+    #[test]
+    fn e13_inflation_stats_match_oracle_bitwise(
+        cities in 4usize..9,
+        n_isps in 2usize..16,
+        tier1 in 1usize..4,
+        transit in 1usize..4,
+        seed in 0u64..100_000,
+    ) {
+        let tier1 = tier1.min(n_isps - 1);
+        let net = internet(cities, n_isps, tier1, transit, seed);
+        let want = policy_inflation(&AsNetwork::from_internet(&net));
+        let got = inflation_stats(&AsTopology::from_internet(&net)).map(|(_, v)| v);
+        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{:?} vs {:?}", got, want);
     }
 
     /// The batched summary is a pure function of `(topology, sources)`:

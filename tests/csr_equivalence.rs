@@ -10,7 +10,6 @@
 //! broke, not that floating point drifted.
 
 use hotgen::baselines::{glp, waxman};
-use hotgen::graph::betweenness::betweenness;
 use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::{
     par_avg_path_length, par_betweenness, par_path_summary, path_summary,
@@ -97,8 +96,8 @@ fn bits(v: &[f64]) -> Vec<u64> {
 #[test]
 fn par_betweenness_matches_serial_bit_for_bit() {
     for (name, g) in fixtures() {
-        let serial = betweenness(&g);
         let csr = CsrGraph::from_graph(&g);
+        let serial = par_betweenness(&csr, 1);
         for threads in 1..=8 {
             let par = par_betweenness(&csr, threads);
             assert_eq!(

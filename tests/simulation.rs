@@ -1,11 +1,13 @@
 //! Integration tests for the simulation layer: protocols running on
 //! topologies the generators produced, via the facade API.
 
+use hotgen::bgp::{policy_summary_all, AsTopology, UNREACHED};
+use hotgen::graph::csr::CsrGraph;
+use hotgen::graph::parallel::bfs_forest;
 use hotgen::prelude::*;
-use hotgen::sim::bgp::{policy_inflation, AsNetwork};
 use hotgen::sim::failure::single_link_failures;
-use hotgen::sim::routing::{route, Demand, IgpMetric};
 use hotgen::sim::traceroute::{infer_map, strided_vantages};
+use hotgen::sim::traffic::{naive_link_load, Demand};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -43,9 +45,11 @@ fn routing_conserves_demand_on_generated_isp() {
             amount: 2.0,
         })
         .collect();
-    let outcome = route(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let csr = CsrGraph::from_graph(&isp.graph);
+    let forest = bfs_forest(&csr, &customers, 2);
+    let outcome = naive_link_load(&csr, &forest, &demands);
     // The ISP graph is connected: everything routes.
-    assert!(outcome.unrouted.is_empty());
+    assert_eq!(outcome.unrouted_flows, 0);
     let total: f64 = demands.iter().map(|d| d.amount).sum();
     assert!((outcome.routed_traffic - total).abs() < 1e-9);
     // Load on any link never exceeds total traffic.
@@ -78,7 +82,7 @@ fn failure_sim_agrees_with_cut_structure() {
             amount: 1.0,
         })
         .collect();
-    let summary = single_link_failures(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let summary = single_link_failures(&isp.graph, &demands);
     // Customer uplinks are bridges: most failures strand something.
     assert!(summary.stranding_fraction > 0.5);
     // Stretch is a ratio >= 1 whenever defined.
@@ -95,23 +99,22 @@ fn bgp_policy_never_shorter_and_internet_stays_reachable() {
         ..InternetConfig::default()
     };
     let net = generate_internet(&census, &traffic, &config, &mut StdRng::seed_from_u64(6));
-    let asn = AsNetwork::from_internet(&net);
+    let topo = AsTopology::from_internet(&net);
     // Valley-free >= shortest for all pairs; tier-1 spine keeps policy
     // reachability at 1.
-    for src in 0..asn.len() {
-        let vf = asn.valley_free_distances(src);
-        let sp = asn.shortest_distances(src);
-        for dst in 0..asn.len() {
-            match (vf[dst], sp[dst]) {
-                (Some(v), Some(s)) => assert!(v >= s),
-                (Some(_), None) => panic!("policy route without graph route"),
-                _ => {}
+    for src in 0..topo.len() {
+        let vf = topo.propagate(src).dist;
+        let sp = topo.shortest(src);
+        for dst in 0..topo.len() {
+            if vf[dst] != UNREACHED {
+                assert!(sp[dst] != UNREACHED, "policy route without graph route");
+                assert!(vf[dst] >= sp[dst]);
             }
         }
     }
-    let stats = policy_inflation(&asn);
-    assert!((stats.policy_reachability - 1.0).abs() < 1e-9);
-    assert!(stats.mean_inflation >= 1.0);
+    let summary = policy_summary_all(&topo, 2);
+    assert_eq!(summary.policy_reachability(), 1.0);
+    assert!(summary.mean_policy_hops() >= summary.mean_shortest_hops());
 }
 
 #[test]

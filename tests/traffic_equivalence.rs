@@ -16,8 +16,7 @@ use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::bfs_forest;
 use hotgen::graph::NodeId;
 use hotgen::sim::demand::{DemandConfig, DemandMatrix, DemandModel, OdDemand};
-use hotgen::sim::routing::{route, IgpMetric};
-use hotgen::sim::traffic::{link_loads, naive_link_load, RoutePolicy};
+use hotgen::sim::traffic::{link_loads, naive_link_load, Demand, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
@@ -26,8 +25,8 @@ mod common;
 use common::Banded;
 
 /// The shared 5k-node GLP fixture (generated once per test binary).
-fn glp5k() -> &'static (hotgen::graph::Graph<(), ()>, CsrGraph) {
-    static FIXTURE: OnceLock<(hotgen::graph::Graph<(), ()>, CsrGraph)> = OnceLock::new();
+fn glp5k() -> &'static CsrGraph {
+    static FIXTURE: OnceLock<CsrGraph> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let g = glp::generate(
             &glp::GlpConfig {
@@ -36,8 +35,7 @@ fn glp5k() -> &'static (hotgen::graph::Graph<(), ()>, CsrGraph) {
             },
             &mut StdRng::seed_from_u64(20030617),
         );
-        let csr = CsrGraph::from_graph(&g);
-        (g, csr)
+        CsrGraph::from_graph(&g)
     })
 }
 
@@ -65,11 +63,11 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// The differential heart: batched subtree accumulation == per-flow path
-/// walking over the tree cache == the legacy `route()` engine, bit for
-/// bit, on integer demands from a band of sources.
+/// walking over the tree cache, bit for bit, on integer demands from a
+/// band of sources.
 #[test]
 fn batched_matches_naive_per_flow_exactly() {
-    let (g, csr) = glp5k();
+    let csr = glp5k();
     let sources: Vec<NodeId> = (0..300).map(NodeId).collect();
     let dem = IntegerDemand { n: 5000 };
     let banded = Banded {
@@ -78,13 +76,13 @@ fn batched_matches_naive_per_flow_exactly() {
     };
     let batched = link_loads(csr, &banded, RoutePolicy::TreePath, 4);
 
-    // Naive 1: per-flow walks over the multi-source tree cache.
+    // Per-flow walks over the multi-source tree cache.
     let mut flows = Vec::new();
     for &s in &sources {
         for dst in 0..5000 {
             let amount = dem.demand(s.index(), dst);
             if amount > 0.0 {
-                flows.push(hotgen::sim::routing::Demand {
+                flows.push(Demand {
                     src: s,
                     dst: NodeId(dst as u32),
                     amount,
@@ -102,12 +100,6 @@ fn batched_matches_naive_per_flow_exactly() {
         naive.routed_traffic.to_bits()
     );
     assert_eq!(batched.traffic_hops, naive.traffic_hops);
-
-    // Naive 2: the legacy per-flow router agrees too (same CSR, same
-    // first-discovery trees).
-    let legacy = route(g, &flows, IgpMetric::HopCount, |_, _| 1.0);
-    assert_eq!(bits(&batched.link_load), bits(&legacy.link_load));
-    assert!(legacy.unrouted.is_empty());
 }
 
 /// Thread-count identity on *non-integer* demand (gravity with jittered
@@ -115,7 +107,7 @@ fn batched_matches_naive_per_flow_exactly() {
 /// byte-identical, over a ≥ 1M-flow band.
 #[test]
 fn one_vs_eight_threads_byte_identical_on_glp5k() {
-    let (_, csr) = glp5k();
+    let csr = glp5k();
     let dem = Banded {
         inner: DemandMatrix::build(
             csr,
@@ -164,7 +156,7 @@ fn one_vs_eight_threads_byte_identical_on_glp5k() {
 /// where the load lands), over a rank-biased band.
 #[test]
 fn ecmp_and_tree_agree_on_accounting() {
-    let (_, csr) = glp5k();
+    let csr = glp5k();
     let dem = Banded {
         inner: DemandMatrix::build(
             csr,
