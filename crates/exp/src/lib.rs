@@ -21,6 +21,8 @@
 //!   marked skipped ([`report::ExpReport::into_skipped`]) instead of
 //!   unwrapping on empty graphs or zero-sized parameter sets.
 
+#[cfg(test)]
+mod bgp;
 pub mod fixtures;
 pub mod jsonout;
 pub mod registry;

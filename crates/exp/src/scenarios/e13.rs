@@ -187,32 +187,3 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
     ));
     report
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hot_bgp::AsClass;
-
-    fn ratios(n: usize, p2c: &[(u32, u32)], peers: &[(u32, u32)], class: Vec<AsClass>) -> [f64; 4] {
-        let topo = AsTopology::from_relationships(n, p2c, peers, class).unwrap();
-        inflation_stats(&topo).map(|(_, value)| value)
-    }
-
-    #[test]
-    fn inflation_stats_on_toy() {
-        // 0 and 1 are peered tier-1s, 2 and 3 their customers, and stub
-        // 4 buys transit from both. The raw 2-hop shortcut 2 → 4 → 3 is
-        // a valley, so 2 ↔ 3 takes the 3-hop route over the peered top:
-        // ratio 1.5 on 2 of the 20 pairs.
-        use AsClass::*;
-        let class = vec![Tier1, Tier1, Tier2, Tier2, Stub];
-        let got = ratios(5, &[(0, 2), (1, 3), (2, 4), (3, 4)], &[(0, 1)], class);
-        assert_eq!(got, [1.0, (18.0 + 2.0 * 1.5) / 20.0, 2.0 / 20.0, 1.5]);
-        // A peer chain allows one peer crossing: the two end-to-end
-        // pairs are denied outright, not inflated.
-        let got = ratios(3, &[], &[(0, 1), (1, 2)], vec![Tier1; 3]);
-        assert_eq!(got, [4.0 / 6.0, 1.0, 0.0, 1.0]);
-        // Nothing to compare: the neutral ratios.
-        assert_eq!(ratios(0, &[], &[], vec![]), [1.0, 1.0, 0.0, 1.0]);
-    }
-}

@@ -48,6 +48,8 @@
 //! assert!((tree.total_weight - 3.0).abs() < 1e-12);
 //! ```
 
+#[cfg(test)]
+mod betweenness;
 pub mod csr;
 pub mod degree;
 pub mod epoch;

@@ -458,48 +458,6 @@ mod tests {
         assert_eq!(par_betweenness(&CsrGraph::from_graph(&one), 4), vec![0.0]);
     }
 
-    /// Hand-computed betweenness on small graphs (each unordered pair
-    /// counted once, endpoints excluded).
-    #[test]
-    fn par_betweenness_small_graphs_exact() {
-        let cases: [(&str, usize, Vec<(usize, usize)>, Vec<f64>); 4] = [
-            // The center of 0-1-2-3-4 lies on (0,3),(0,4),(1,3),(1,4).
-            (
-                "path",
-                5,
-                vec![(0, 1), (1, 2), (2, 3), (3, 4)],
-                vec![0.0, 3.0, 4.0, 3.0, 0.0],
-            ),
-            // 4 leaves -> C(4,2) = 6 pairs, all through the hub.
-            (
-                "star",
-                5,
-                (1..5).map(|i| (0, i)).collect(),
-                vec![6.0, 0.0, 0.0, 0.0, 0.0],
-            ),
-            // Each opposite pair has two shortest paths, so each of its
-            // two intermediates gets half the credit.
-            (
-                "cycle",
-                4,
-                vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-                vec![0.5; 4],
-            ),
-            ("disconnected", 4, vec![(0, 1), (2, 3)], vec![0.0; 4]),
-        ];
-        for (name, n, edges, want) in cases {
-            let g: Graph<(), ()> = Graph::from_edges(n, edges.into_iter().map(|(a, b)| (a, b, ())));
-            for threads in [1, 3] {
-                assert_eq!(
-                    par_betweenness(&CsrGraph::from_graph(&g), threads),
-                    want,
-                    "{}",
-                    name
-                );
-            }
-        }
-    }
-
     /// With pivots = all nodes the sampled estimator must reproduce the
     /// exact kernel bit-for-bit (same chunking, same accumulation order,
     /// ×0.5 scaling == ÷2).

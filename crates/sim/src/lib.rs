@@ -26,6 +26,8 @@ pub mod demand;
 pub mod evolve;
 pub mod failure;
 pub mod probe;
+#[cfg(test)]
+mod routing;
 pub mod te;
 pub mod traceroute;
 pub mod traffic;

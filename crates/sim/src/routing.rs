@@ -1,343 +1,95 @@
-//! Intradomain routing and link load.
-//!
-//! Routes every demand on its (deterministic) shortest path — hop-count
-//! or length-weighted, the two metrics IGPs actually use — and
-//! accumulates per-link loads. The load distribution is where design
-//! shows: optimization-driven topologies concentrate transit on the
-//! trunks they provisioned for it; degree-matched random rewirings put
-//! heavy load on links that were never sized for it.
+//! Routing an explicit flow list (test-only module): the path E12's load
+//! table and `examples/routing_study.rs` take —
+//! [`naive_link_load`] over a `bfs_forest` of the flows' distinct
+//! sources, each flow walking its first-discovery tree path.
 
+use crate::traffic::{naive_link_load, Demand, TrafficLoads};
 use hot_graph::csr::CsrGraph;
-use hot_graph::graph::{EdgeId, Graph, NodeId};
-use hot_graph::shortest_path::dijkstra;
+use hot_graph::graph::NodeId;
+use hot_graph::parallel::bfs_forest;
 
-/// The routing metric.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IgpMetric {
-    /// Minimize hop count (every link weight 1).
-    HopCount,
-    /// Minimize a per-link weight supplied by the caller (usually length
-    /// or inverse capacity).
-    Weighted,
-}
-
-/// One demand: `amount` of traffic from `src` to `dst`.
-#[derive(Clone, Copy, Debug)]
-pub struct Demand {
-    pub src: NodeId,
-    pub dst: NodeId,
-    pub amount: f64,
-}
-
-/// Result of routing a demand set.
-#[derive(Clone, Debug)]
-pub struct RoutingOutcome {
-    /// Traffic carried by each link (indexed by `EdgeId`).
-    pub link_load: Vec<f64>,
-    /// Demands whose endpoints were disconnected.
-    pub unrouted: Vec<Demand>,
-    /// Total routed traffic × hops (for mean-hops accounting).
-    pub traffic_hops: f64,
-    /// Total routed traffic.
-    pub routed_traffic: f64,
-}
-
-impl RoutingOutcome {
-    /// Demand-weighted mean path length in hops.
-    pub fn mean_hops(&self) -> f64 {
-        if self.routed_traffic > 0.0 {
-            self.traffic_hops / self.routed_traffic
-        } else {
-            0.0
-        }
-    }
-
-    /// Maximum link load.
-    pub fn max_load(&self) -> f64 {
-        self.link_load.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Mean load over links that carry anything.
-    pub fn mean_positive_load(&self) -> f64 {
-        let (sum, count) = self
-            .link_load
-            .iter()
-            .filter(|&&l| l > 0.0)
-            .fold((0.0, 0usize), |(s, c), &l| (s + l, c + 1));
-        if count > 0 {
-            sum / count as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of links carrying no traffic at all.
-    pub fn idle_fraction(&self) -> f64 {
-        if self.link_load.is_empty() {
-            return 0.0;
-        }
-        self.link_load.iter().filter(|&&l| l == 0.0).count() as f64 / self.link_load.len() as f64
+/// One flow of `amount` from `src` to `dst`.
+pub(crate) fn flow(src: u32, dst: u32, amount: f64) -> Demand {
+    Demand {
+        src: NodeId(src),
+        dst: NodeId(dst),
+        amount,
     }
 }
 
-/// Routes `demands` over `g` on shortest paths under `metric`.
-///
-/// `weight` is consulted only for `IgpMetric::Weighted`. Ties are broken
-/// deterministically (hop-count: BFS first-discovery in adjacency order
-/// on the CSR view; weighted: Dijkstra's relaxation order), so results
-/// are reproducible. Runtime: one BFS or Dijkstra per distinct source —
-/// the hop-count path is the one the large experiments hit, and it runs
-/// on the flat [`CsrGraph`] kernel.
-///
-/// Degenerate demands never panic: endpoints outside the graph are
-/// reported in `unrouted` alongside disconnected pairs.
-pub fn route<N, E>(
-    g: &Graph<N, E>,
-    demands: &[Demand],
-    metric: IgpMetric,
-    mut weight: impl FnMut(EdgeId, &E) -> f64,
-) -> RoutingOutcome {
-    let n = g.node_count();
-    let mut link_load = vec![0.0; g.edge_count()];
-    let mut unrouted = Vec::new();
-    let mut traffic_hops = 0.0;
-    let mut routed_traffic = 0.0;
-    // Group demands by source to reuse the per-source shortest-path runs.
-    let mut by_src: std::collections::BTreeMap<u32, Vec<&Demand>> = Default::default();
-    for d in demands {
-        if d.src.index() >= n || d.dst.index() >= n {
-            unrouted.push(*d);
-            continue;
-        }
-        by_src.entry(d.src.0).or_default().push(d);
-    }
-    let csr = match metric {
-        IgpMetric::HopCount => Some(CsrGraph::from_graph(g)),
-        IgpMetric::Weighted => None,
-    };
-    for (src, group) in by_src {
-        let edge_path_to: Box<dyn Fn(NodeId) -> Option<Vec<EdgeId>>> = match &csr {
-            Some(csr) => {
-                let tree = csr.bfs_tree(NodeId(src));
-                Box::new(move |dst| tree.edge_path_to(dst))
-            }
-            None => {
-                let sp = dijkstra(g, NodeId(src), |e, w| weight(e, w));
-                Box::new(move |dst| sp.edge_path_to(dst))
-            }
-        };
-        for d in group {
-            match edge_path_to(d.dst) {
-                Some(path) => {
-                    for e in &path {
-                        link_load[e.index()] += d.amount;
-                    }
-                    traffic_hops += d.amount * path.len() as f64;
-                    routed_traffic += d.amount;
-                }
-                None => unrouted.push(*d),
-            }
-        }
-    }
-    RoutingOutcome {
-        link_load,
-        unrouted,
-        traffic_hops,
-        routed_traffic,
-    }
-}
-
-/// Gini coefficient of the positive link loads — the load-concentration
-/// scalar used in the experiments (0 = spread evenly, → 1 = all transit
-/// on a few trunks).
-pub fn load_gini(outcome: &RoutingOutcome) -> f64 {
-    let positive: Vec<f64> = outcome
-        .link_load
+/// Routes `flows` with [`naive_link_load`] over a forest of their
+/// distinct in-range sources.
+pub(crate) fn route_flows(csr: &CsrGraph, flows: &[Demand]) -> TrafficLoads {
+    let mut sources: Vec<NodeId> = flows
         .iter()
-        .copied()
-        .filter(|&l| l > 0.0)
+        .map(|f| f.src)
+        .filter(|s| s.index() < csr.node_count())
         .collect();
-    gini(&positive)
+    sources.sort_unstable();
+    sources.dedup();
+    naive_link_load(csr, &bfs_forest(csr, &sources, 1), flows)
 }
 
-fn gini(sample: &[f64]) -> f64 {
-    let n = sample.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let mut sorted = sample.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let total: f64 = sorted.iter().sum();
-    if total <= 0.0 {
-        return 0.0;
-    }
-    let weighted: f64 = sorted
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| (i as f64 + 1.0) * x)
-        .sum();
-    (2.0 * weighted) / (n as f64 * total) - (n as f64 + 1.0) / n as f64
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use hot_graph::graph::Graph;
 
-    fn path4() -> Graph<(), f64> {
-        Graph::from_edges(4, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    }
-
-    fn d(src: usize, dst: usize, amount: f64) -> Demand {
-        Demand {
-            src: NodeId(src as u32),
-            dst: NodeId(dst as u32),
-            amount,
-        }
+    fn path4() -> CsrGraph {
+        CsrGraph::from_graph(&Graph::<(), ()>::from_edges(
+            4,
+            vec![(0, 1, ()), (1, 2, ()), (2, 3, ())],
+        ))
     }
 
     #[test]
     fn loads_accumulate_along_paths() {
-        let g = path4();
-        let out = route(
-            &g,
-            &[d(0, 3, 5.0), d(1, 2, 2.0)],
-            IgpMetric::HopCount,
-            |_, w| *w,
-        );
+        let out = route_flows(&path4(), &[flow(0, 3, 5.0), flow(1, 2, 2.0)]);
+        // 5 end to end, 2 in the middle.
         assert_eq!(out.link_load, vec![5.0, 7.0, 5.0]);
-        assert!(out.unrouted.is_empty());
-        assert!((out.routed_traffic - 7.0).abs() < 1e-12);
-        // hops: 5*3 + 2*1 = 17; mean = 17/7.
-        assert!((out.mean_hops() - 17.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_metric_changes_route() {
-        // Square with one expensive side.
-        let g: Graph<(), f64> = Graph::from_edges(
-            4,
-            vec![(0, 1, 10.0), (1, 3, 10.0), (0, 2, 1.0), (2, 3, 1.0)],
-        );
-        let hop = route(&g, &[d(0, 3, 1.0)], IgpMetric::HopCount, |_, w| *w);
-        let weighted = route(&g, &[d(0, 3, 1.0)], IgpMetric::Weighted, |_, w| *w);
-        // Both 2-hop routes tie under hops; under weights the cheap side
-        // must carry the flow.
-        assert_eq!(hop.link_load.iter().filter(|&&l| l > 0.0).count(), 2);
-        assert!(weighted.link_load[2] > 0.0 && weighted.link_load[3] > 0.0);
-        assert_eq!(weighted.link_load[0], 0.0);
+        assert_eq!((out.routed_flows, out.unrouted_flows), (2, 0));
+        assert_eq!(out.routed_traffic, 7.0);
+        // hops: 5*3 + 2*1 = 17 over 7 units of traffic.
+        assert_eq!(out.mean_hops(), 17.0 / 7.0);
     }
 
     #[test]
     fn disconnected_demand_reported() {
-        let g: Graph<(), f64> = Graph::from_edges(4, vec![(0, 1, 1.0), (2, 3, 1.0)]);
-        let out = route(
-            &g,
-            &[d(0, 3, 4.0), d(0, 1, 1.0)],
-            IgpMetric::HopCount,
-            |_, w| *w,
+        let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (2, 3, ())]);
+        let out = route_flows(
+            &CsrGraph::from_graph(&g),
+            &[flow(0, 3, 4.0), flow(0, 1, 1.0)],
         );
-        assert_eq!(out.unrouted.len(), 1);
-        assert_eq!(out.unrouted[0].amount, 4.0);
-        assert!((out.routed_traffic - 1.0).abs() < 1e-12);
+        assert_eq!(out.unrouted_flows, 1);
+        assert_eq!(out.unrouted_traffic, 4.0);
+        assert_eq!(out.routed_traffic, 1.0);
+        assert_eq!(out.link_load, vec![1.0, 0.0]);
     }
 
-    #[test]
-    fn stats_on_star_vs_path() {
-        // All-pairs unit demand: the star concentrates everything on hub
-        // links; gini over positive loads is 0 for symmetric star... use
-        // a lopsided tree instead: hub with one long arm.
-        let g = path4();
-        let demands: Vec<Demand> = (0..4)
-            .flat_map(|a| (0..4).filter(move |&b| b != a).map(move |b| d(a, b, 1.0)))
-            .collect();
-        let out = route(&g, &demands, IgpMetric::HopCount, |_, w| *w);
-        // Middle link carries more than the end links.
-        assert!(out.link_load[1] > out.link_load[0]);
-        assert!(load_gini(&out) > 0.0);
-        assert_eq!(out.idle_fraction(), 0.0);
-        assert!(out.mean_positive_load() > 0.0);
-    }
-
-    /// Regression: endpoints outside the graph used to panic on the BFS
-    /// distance arrays; now they land in `unrouted` like disconnected
-    /// pairs — including on the empty graph.
+    /// Regression: endpoints outside the graph are unrouted like
+    /// disconnected pairs, not an index panic — including on the empty
+    /// graph.
     #[test]
     fn out_of_range_endpoints_are_unrouted_not_panics() {
-        let g = path4();
-        let out = route(
-            &g,
-            &[d(0, 9, 2.0), d(9, 0, 1.0), d(0, 3, 1.0)],
-            IgpMetric::HopCount,
-            |_, w| *w,
+        let out = route_flows(
+            &path4(),
+            &[flow(0, 9, 2.0), flow(9, 0, 1.0), flow(0, 3, 1.0)],
         );
-        assert_eq!(out.unrouted.len(), 2);
-        assert!((out.routed_traffic - 1.0).abs() < 1e-12);
-        let empty: Graph<(), f64> = Graph::new();
-        let out = route(&empty, &[d(0, 1, 5.0)], IgpMetric::Weighted, |_, w| *w);
-        assert_eq!(out.unrouted.len(), 1);
+        assert_eq!(out.unrouted_flows, 2);
+        assert_eq!(out.unrouted_traffic, 3.0);
+        assert_eq!(out.routed_traffic, 1.0);
+        let empty = CsrGraph::from_graph(&Graph::<(), ()>::new());
+        let out = route_flows(&empty, &[flow(0, 1, 5.0)]);
+        assert_eq!(out.unrouted_flows, 1);
         assert_eq!(out.routed_traffic, 0.0);
         assert!(out.link_load.is_empty());
     }
 
     #[test]
     fn empty_demands() {
-        let g = path4();
-        let out = route(&g, &[], IgpMetric::HopCount, |_, w| *w);
-        assert_eq!(out.max_load(), 0.0);
+        let out = route_flows(&path4(), &[]);
+        assert_eq!(out.link_load, vec![0.0; 3]);
         assert_eq!(out.mean_hops(), 0.0);
-        assert_eq!(load_gini(&out), 0.0);
-        assert_eq!(out.idle_fraction(), 1.0);
-    }
-}
-
-#[cfg(test)]
-mod property_tests {
-    use super::*;
-    use hot_graph::graph::{Graph, NodeId};
-    use proptest::prelude::*;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Conservation identity: total load summed over links equals
-        /// traffic × hops summed over routed demands, and nothing is
-        /// unrouted on a connected graph.
-        #[test]
-        fn load_equals_traffic_hops(
-            n in 2usize..12,
-            extra in proptest::collection::vec((0usize..12, 0usize..12), 0..14),
-            pairs in proptest::collection::vec((0usize..12, 0usize..12, 0.1f64..5.0), 1..10),
-        ) {
-            let mut g: Graph<(), f64> = Graph::new();
-            for _ in 0..n {
-                g.add_node(());
-            }
-            for i in 0..n - 1 {
-                g.add_edge(NodeId(i as u32), NodeId(i as u32 + 1), 1.0);
-            }
-            for (a, b) in extra {
-                let (a, b) = (a % n, b % n);
-                if a != b {
-                    g.add_edge(NodeId(a as u32), NodeId(b as u32), 1.0);
-                }
-            }
-            let demands: Vec<Demand> = pairs
-                .into_iter()
-                .filter(|(a, b, _)| a % n != b % n)
-                .map(|(a, b, amt)| Demand {
-                    src: NodeId((a % n) as u32),
-                    dst: NodeId((b % n) as u32),
-                    amount: amt,
-                })
-                .collect();
-            let outcome = route(&g, &demands, IgpMetric::HopCount, |_, _| 1.0);
-            prop_assert!(outcome.unrouted.is_empty());
-            let total_load: f64 = outcome.link_load.iter().sum();
-            prop_assert!((total_load - outcome.traffic_hops).abs() < 1e-9,
-                "sum load {} vs traffic-hops {}", total_load, outcome.traffic_hops);
-            // Routed traffic equals offered traffic.
-            let offered: f64 = demands.iter().map(|d| d.amount).sum();
-            prop_assert!((outcome.routed_traffic - offered).abs() < 1e-9);
-        }
+        assert_eq!(out.routed_flows + out.unrouted_flows, 0);
+        assert_eq!(out.routed_traffic + out.unrouted_traffic, 0.0);
     }
 }
