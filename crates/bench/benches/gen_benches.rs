@@ -9,6 +9,7 @@ use hot_core::isp::generator::{generate, IspConfig};
 use hot_core::plr::{solve, PlrConfig};
 use hot_econ::cable::CableCatalog;
 use hot_econ::cost::LinkCost;
+use hot_exp::fixtures::standard_geography;
 use hot_graph::csr::CsrGraph;
 use hot_graph::parallel::{default_threads, par_betweenness};
 use hot_metrics::robustness::{degradation_curve, RemovalPolicy};
@@ -90,7 +91,7 @@ fn bench_baselines(c: &mut Criterion) {
 fn bench_isp_and_plr(c: &mut Criterion) {
     let mut group = c.benchmark_group("pipeline");
     group.sample_size(10);
-    let (census, traffic) = hot_bench::standard_geography(30, 8);
+    let (census, traffic) = standard_geography(30, 8);
     group.bench_function("isp_8pops_400cust", |b| {
         let config = IspConfig {
             n_pops: 8,

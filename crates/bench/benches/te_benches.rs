@@ -1,6 +1,7 @@
 //! Capacitated-subsystem micro-benchmarks: tier provisioning, the TE
-//! weight-tuning loop, and the overload cascade (batched vs the naive
-//! per-round reference it is differentially tested against). CI runs
+//! weight-tuning loop, and the overload cascade, serial and parallel.
+//! (The ≥2× gate against the per-round reference lives in
+//! `tests/te_speedup.rs`.) CI runs
 //! this harness with `CRITERION_JSON=BENCH_te.json` so the cascade
 //! engine's perf trajectory is tracked per commit.
 
@@ -10,7 +11,7 @@ use hot_econ::cable::CableCatalog;
 use hot_econ::provision::provision_capacities;
 use hot_graph::csr::CsrGraph;
 use hot_graph::parallel::default_threads;
-use hot_sim::cascade::{cascade, cascade_naive, CascadeConfig};
+use hot_sim::cascade::{cascade, CascadeConfig};
 use hot_sim::demand::OdDemand;
 use hot_sim::te::{tune_weights, TeConfig};
 use hot_sim::traffic::{link_loads, RoutePolicy};
@@ -76,9 +77,6 @@ fn bench_te(c: &mut Criterion) {
             ..TeConfig::default()
         };
         b.iter(|| black_box(tune_weights(&csr, &dem, &comfortable, &cfg, threads)))
-    });
-    group.bench_function("cascade_naive", |b| {
-        b.iter(|| black_box(cascade_naive(&csr, &dem, &stressed, &cascade_cfg)))
     });
     group.bench_function("cascade_batched_serial", |b| {
         b.iter(|| black_box(cascade(&csr, &dem, &stressed, &cascade_cfg, 1)))

@@ -155,9 +155,12 @@ fn main() -> ExitCode {
             match registry::find(key) {
                 Some(spec) => out.push((spec.run)(ctx.clone())),
                 None => {
+                    let ids = registry::registry();
                     eprintln!(
-                        "expctl: unknown scenario {:?}; ids are e1..e17 (see --list)",
-                        key
+                        "expctl: unknown scenario {:?}; ids are {}..{} (see --list)",
+                        key,
+                        ids[0].id,
+                        ids[ids.len() - 1].id
                     );
                     return ExitCode::FAILURE;
                 }

@@ -277,8 +277,7 @@ impl ExpReport {
     }
 }
 
-/// Compact cell formatting shared by the human tables (the former
-/// `hot_bench::fmt` convention for floats).
+/// Compact cell formatting shared by the human tables.
 fn cell_text(v: &Json) -> String {
     match v {
         Json::Null => "-".into(),

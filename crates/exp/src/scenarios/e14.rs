@@ -87,9 +87,10 @@ fn campaign<N: Clone, E: Clone>(
             continue;
         }
         let vantages = strided_vantages(truth, k);
-        // The batched CSR engine (E19's); bit-identical masks to the
-        // old per-vantage `infer_map`, so this section's numbers are
-        // unchanged — which is exactly the point of keeping E14 on it.
+        // The batched CSR engine (E19's); its masks are bit-identical
+        // to a per-vantage Dijkstra campaign (the integration tests'
+        // oracle), so this section's numbers are those of the
+        // measurement model itself.
         let map = infer_map_batched(truth, &vantages, None, weight, threads).map;
         let s = summarize_sample(&map.degree_sequence(truth));
         t.push(vec![

@@ -209,10 +209,9 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         }
         let mut keep = vec![true; isp.graph.edge_count()];
         keep[e] = false;
-        let cut_graph = isp.graph.edge_subgraph(&keep);
-        // Node ids survive edge_subgraph, so the demand matrix applies
+        // Node ids survive the mask, so the demand matrix applies
         // unchanged; only the edge indexing of the load vector is new.
-        let cut_csr = CsrGraph::from_graph(&cut_graph);
+        let (cut_csr, _) = csr.edge_masked(&keep);
         let outcome = link_loads(&cut_csr, &demand, RoutePolicy::TreePath, ctx.threads);
         let kind = isp
             .graph

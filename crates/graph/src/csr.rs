@@ -521,9 +521,8 @@ impl CsrGraph {
     }
 
     /// Membership mask of the largest connected component (ties broken
-    /// toward the component discovered first, matching
-    /// [`crate::traversal::largest_component_mask`]). Empty for the empty
-    /// graph.
+    /// toward the component discovered first, i.e. the one holding the
+    /// lowest node id). Empty for the empty graph.
     pub fn largest_component_mask(&self) -> Vec<bool> {
         let n = self.node_count();
         let mut label = vec![usize::MAX; n];
@@ -793,9 +792,9 @@ mod tests {
         let g = diamond();
         let csr = CsrGraph::from_graph(&g);
         let csr_dist = csr.bfs_distances(NodeId(0));
-        let adj_dist = crate::traversal::bfs_distances(&g, NodeId(0));
+        let unit = crate::shortest_path::bellman_ford(&g, NodeId(0), |_, _| 1.0);
         for v in 0..g.node_count() {
-            assert_eq!(adj_dist[v].unwrap(), csr_dist[v]);
+            assert_eq!(unit[v], csr_dist[v] as f64);
         }
     }
 
@@ -1002,10 +1001,10 @@ mod tests {
         g.add_edge(a, b, ());
         g.add_edge(b, c, ());
         let csr = CsrGraph::from_graph(&g);
-        assert_eq!(
-            csr.largest_component_mask(),
-            crate::traversal::largest_component_mask(&g)
-        );
+        // The larger component is the one holding a, b and c.
+        let labels = crate::traversal::connected_components(&g);
+        let expected: Vec<bool> = labels.iter().map(|&l| l == labels[a.index()]).collect();
+        assert_eq!(csr.largest_component_mask(), expected);
         assert_eq!(csr.largest_component_size(), 3);
     }
 

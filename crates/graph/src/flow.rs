@@ -209,7 +209,7 @@ mod tests {
 mod property_tests {
     use super::*;
     use crate::graph::{Graph, NodeId};
-    use crate::traversal::is_connected;
+    use crate::traversal::{connected_components, is_connected};
     use proptest::prelude::*;
 
     /// Brute-force min cut between s and t: enumerate all edge subsets,
@@ -219,9 +219,8 @@ mod property_tests {
         let mut best = f64::INFINITY;
         for mask in 0u32..(1 << m) {
             let keep: Vec<bool> = (0..m).map(|i| mask & (1 << i) == 0).collect();
-            let sub = g.edge_subgraph(&keep);
-            let reachable = crate::traversal::bfs_distances(&sub, s);
-            if reachable[t.index()].is_none() {
+            let labels = connected_components(&g.edge_subgraph(&keep));
+            if labels[s.index()] != labels[t.index()] {
                 let cut_cost: f64 = (0..m)
                     .filter(|&i| !keep[i])
                     .map(|i| *g.edge_weight(crate::graph::EdgeId(i as u32)))

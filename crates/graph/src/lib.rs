@@ -17,10 +17,10 @@
 //! | module | contents |
 //! |---|---|
 //! | [`graph`] | [`Graph`], [`NodeId`], [`EdgeId`] — undirected annotated multigraph |
-//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels |
+//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels: hop distances, BFS trees, component masks |
 //! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness` (Brandes, unweighted), `par_path_summary`, `par_avg_path_length` |
 //! | [`unionfind`] | disjoint-set forest used by Kruskal and component bookkeeping |
-//! | [`traversal`] | BFS/DFS orders, hop distances, connected components |
+//! | [`traversal`] | BFS order and connected components on [`Graph`] |
 //! | [`shortest_path`] | Dijkstra (binary heap), Bellman–Ford oracle, path extraction |
 //! | [`mst`] | Kruskal and Prim minimum spanning trees/forests |
 //! | [`tree`] | rooted-tree views: parents, depths, subtree sizes, leaves |

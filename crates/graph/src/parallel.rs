@@ -106,7 +106,7 @@ where
 /// `f` receives `(index, &item)` and must be a pure function of them for
 /// the determinism guarantee to mean anything; under that contract the
 /// output is identical at every thread count. This is the entry point
-/// the scenario engine (`hot-exp`) fans E1–E16 out over.
+/// the scenario engine (`hot-exp`) fans its scenarios out over.
 pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
@@ -346,11 +346,6 @@ pub fn par_path_summary(csr: &CsrGraph, sources: &[NodeId], threads: usize) -> P
     total
 }
 
-/// Serial reference for [`par_path_summary`]: the 1-thread run.
-pub fn path_summary(csr: &CsrGraph, sources: &[NodeId]) -> PathSummary {
-    par_path_summary(csr, sources, 1)
-}
-
 /// Exact mean hop distance over all reachable ordered pairs, computed by
 /// an all-sources BFS sweep on `threads` worker threads.
 pub fn par_avg_path_length(csr: &CsrGraph, threads: usize) -> f64 {
@@ -507,7 +502,7 @@ mod tests {
         let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (1, 2, ()), (2, 3, ())]);
         let csr = CsrGraph::from_graph(&g);
         let sources: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let s = path_summary(&csr, &sources);
+        let s = par_path_summary(&csr, &sources, 1);
         assert_eq!(s.pairs, 12);
         assert_eq!(s.total_hops, 6 + 8 + 6);
         assert_eq!(s.diameter, 3);

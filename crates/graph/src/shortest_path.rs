@@ -159,20 +159,6 @@ pub fn bellman_ford<N, E>(
     dist
 }
 
-/// All-pairs weighted distances via repeated Dijkstra.
-///
-/// Returns an `n × n` matrix; `m[i][j]` is `f64::INFINITY` when `j` is
-/// unreachable from `i`. Intended for the modest graph sizes (≲ a few
-/// thousand nodes) the experiments use.
-pub fn all_pairs_dijkstra<N, E>(
-    g: &Graph<N, E>,
-    mut weight: impl FnMut(EdgeId, &E) -> f64,
-) -> Vec<Vec<f64>> {
-    g.node_ids()
-        .map(|s| dijkstra(g, s, &mut weight).dist)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,13 +212,18 @@ mod tests {
         assert_eq!(sp.edge_path_to(NodeId(1)), Some(vec![]));
     }
 
+    /// Distances on an undirected graph are symmetric: the all-pairs
+    /// matrix from one Dijkstra per source equals its transpose.
     #[test]
     fn all_pairs_symmetric() {
         let g = weighted_square();
-        let m = all_pairs_dijkstra(&g, |_, w| *w);
-        for i in 0..4 {
-            for j in 0..4 {
-                assert!((m[i][j] - m[j][i]).abs() < 1e-12);
+        let m: Vec<Vec<f64>> = g
+            .node_ids()
+            .map(|s| dijkstra(&g, s, |_, w| *w).dist)
+            .collect();
+        for (i, row) in m.iter().enumerate() {
+            for (j, &d) in row.iter().enumerate() {
+                assert!((d - m[j][i]).abs() < 1e-12);
             }
         }
     }

@@ -1,5 +1,9 @@
-//! Breadth-first and depth-first traversal, hop distances, and connected
-//! components.
+//! Breadth-first traversal and connected components on [`Graph`].
+//!
+//! Hop distances, BFS trees and the largest-component mask run on the
+//! flat view: [`crate::csr::CsrGraph::bfs_distances`],
+//! [`crate::csr::CsrGraph::bfs_tree`] and
+//! [`crate::csr::CsrGraph::largest_component_mask`].
 
 use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -17,69 +21,6 @@ pub fn bfs_order<N, E>(g: &Graph<N, E>, start: NodeId) -> Vec<NodeId> {
             if !seen[u.index()] {
                 seen[u.index()] = true;
                 queue.push_back(u);
-            }
-        }
-    }
-    order
-}
-
-/// Hop distance from `start` to every node (`None` when unreachable).
-pub fn bfs_distances<N, E>(g: &Graph<N, E>, start: NodeId) -> Vec<Option<u32>> {
-    let mut dist = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    dist[start.index()] = Some(0);
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()].expect("queued nodes have distances");
-        for (u, _) in g.neighbors(v) {
-            if dist[u.index()].is_none() {
-                dist[u.index()] = Some(d + 1);
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
-/// Hop distance and BFS parent from `start` to every reachable node.
-///
-/// Parents allow extracting shortest hop paths; the start node has parent
-/// `None`, as do unreachable nodes (distinguish via the distance).
-pub fn bfs_tree<N, E>(g: &Graph<N, E>, start: NodeId) -> (Vec<Option<u32>>, Vec<Option<NodeId>>) {
-    let mut dist = vec![None; g.node_count()];
-    let mut parent = vec![None; g.node_count()];
-    let mut queue = VecDeque::new();
-    dist[start.index()] = Some(0);
-    queue.push_back(start);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v.index()].expect("queued nodes have distances");
-        for (u, _) in g.neighbors(v) {
-            if dist[u.index()].is_none() {
-                dist[u.index()] = Some(d + 1);
-                parent[u.index()] = Some(v);
-                queue.push_back(u);
-            }
-        }
-    }
-    (dist, parent)
-}
-
-/// Nodes reachable from `start` in iterative DFS pre-order.
-pub fn dfs_order<N, E>(g: &Graph<N, E>, start: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(v) = stack.pop() {
-        if seen[v.index()] {
-            continue;
-        }
-        seen[v.index()] = true;
-        order.push(v);
-        // Push in reverse so the first-listed neighbor is visited first.
-        let nbrs: Vec<_> = g.neighbors(v).map(|(u, _)| u).collect();
-        for u in nbrs.into_iter().rev() {
-            if !seen[u.index()] {
-                stack.push(u);
             }
         }
     }
@@ -129,27 +70,10 @@ pub fn largest_component_size<N, E>(g: &Graph<N, E>) -> usize {
     sizes.into_iter().max().unwrap_or(0)
 }
 
-/// Membership mask of the largest connected component.
-///
-/// Ties are broken toward the component discovered first. Returns an empty
-/// vector for the empty graph.
-pub fn largest_component_mask<N, E>(g: &Graph<N, E>) -> Vec<bool> {
-    let labels = connected_components(g);
-    let k = labels.iter().copied().max().map_or(0, |m| m as usize + 1);
-    let mut sizes = vec![0usize; k];
-    for &l in &labels {
-        sizes[l as usize] += 1;
-    }
-    let best = (0..k).max_by_key(|&i| (sizes[i], std::cmp::Reverse(i)));
-    match best {
-        Some(b) => labels.into_iter().map(|l| l as usize == b).collect(),
-        None => Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::{CsrGraph, UNREACHABLE};
     use crate::graph::Graph;
 
     fn two_triangles() -> Graph<(), ()> {
@@ -179,16 +103,16 @@ mod tests {
     #[test]
     fn bfs_distances_on_path() {
         let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (1, 2, ()), (2, 3, ())]);
-        let d = bfs_distances(&g, NodeId(0));
-        assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
+        let d = CsrGraph::from_graph(&g).bfs_distances(NodeId(0));
+        assert_eq!(d, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn bfs_unreachable_is_none() {
         let g = two_triangles();
-        let d = bfs_distances(&g, NodeId(0));
-        assert_eq!(d[4], None);
-        assert_eq!(d[1], Some(1));
+        let d = CsrGraph::from_graph(&g).bfs_distances(NodeId(0));
+        assert_eq!(d[4], UNREACHABLE);
+        assert_eq!(d[1], 1);
     }
 
     #[test]
@@ -197,24 +121,17 @@ mod tests {
             5,
             vec![(0, 1, ()), (0, 2, ()), (1, 3, ()), (2, 3, ()), (3, 4, ())],
         );
-        let (dist, parent) = bfs_tree(&g, NodeId(0));
-        assert_eq!(dist[4], Some(3));
+        let tree = CsrGraph::from_graph(&g).bfs_tree(NodeId(0));
+        assert_eq!(tree.dist[4], 3);
         // Walk parents from 4 back to 0 and count hops.
         let mut hops = 0;
         let mut cur = NodeId(4);
-        while let Some(p) = parent[cur.index()] {
+        while let Some((p, _)) = tree.parent(cur) {
             cur = p;
             hops += 1;
         }
         assert_eq!(cur, NodeId(0));
         assert_eq!(hops, 3);
-    }
-
-    #[test]
-    fn dfs_preorder_first_neighbor_first() {
-        let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (0, 2, ()), (1, 3, ())]);
-        let order = dfs_order(&g, NodeId(0));
-        assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(3), NodeId(2)]);
     }
 
     #[test]
@@ -233,7 +150,7 @@ mod tests {
         assert!(is_connected(&g));
         assert_eq!(component_count(&g), 0);
         assert_eq!(largest_component_size(&g), 0);
-        assert!(largest_component_mask(&g).is_empty());
+        assert!(CsrGraph::from_graph(&g).largest_component_mask().is_empty());
     }
 
     #[test]
@@ -244,7 +161,7 @@ mod tests {
         let c = NodeId(4);
         g.add_edge(a, b, ());
         g.add_edge(b, c, ());
-        let mask = largest_component_mask(&g);
+        let mask = CsrGraph::from_graph(&g).largest_component_mask();
         assert_eq!(mask, vec![false, false, true, true, true]);
     }
 

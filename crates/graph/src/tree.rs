@@ -5,8 +5,8 @@
 //! first-class rooted-tree representation — parents, depths, subtree sizes —
 //! is used throughout the workspace.
 
+use crate::csr::CsrGraph;
 use crate::graph::{Graph, NodeId};
-use crate::traversal::bfs_tree;
 
 /// A rooted tree over the node set of some host graph.
 ///
@@ -48,25 +48,25 @@ impl RootedTree {
         if n == 0 || g.edge_count() != n - 1 {
             return Err(TreeError::WrongEdgeCount);
         }
-        let (dist, parent) = bfs_tree(g, root);
-        if dist.iter().any(Option::is_none) {
+        let bfs = CsrGraph::from_graph(g).bfs_tree(root);
+        if bfs.visit_order().len() != n {
             return Err(TreeError::Disconnected);
         }
+        let parent: Vec<Option<NodeId>> = g
+            .node_ids()
+            .map(|v| bfs.parent(v).map(|(p, _)| p))
+            .collect();
         let mut children = vec![Vec::new(); n];
         for v in g.node_ids() {
             if let Some(p) = parent[v.index()] {
                 children[p.index()].push(v);
             }
         }
-        let depth = dist
-            .into_iter()
-            .map(|d| d.expect("checked connected"))
-            .collect();
         Ok(RootedTree {
             root,
             parent,
             children,
-            depth,
+            depth: bfs.dist,
         })
     }
 

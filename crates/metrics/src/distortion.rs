@@ -9,8 +9,8 @@
 //! and report the best (smallest) value. Trees have distortion exactly 1;
 //! meshy graphs pay more.
 
+use hot_graph::csr::{CsrBfsTree, CsrGraph};
 use hot_graph::graph::{Graph, NodeId};
-use hot_graph::traversal::{bfs_distances, bfs_tree, largest_component_mask};
 
 /// Number of BFS-tree roots tried.
 const ROOTS: usize = 3;
@@ -20,65 +20,65 @@ const SAMPLE_PAIRS: usize = 128;
 /// Approximate distortion of the largest component. Returns 0 for graphs
 /// with fewer than 2 connected nodes (and exactly 1.0 for trees).
 pub fn distortion<N, E>(g: &Graph<N, E>) -> f64 {
-    let mask = largest_component_mask(g);
+    let csr = CsrGraph::from_graph(g);
+    let mask = csr.largest_component_mask();
     let members: Vec<NodeId> = g.node_ids().filter(|v| mask[v.index()]).collect();
     let m = members.len();
     if m < 2 {
         return 0.0;
     }
+    // Deterministic pair sample with golden-ratio stride. The sample and
+    // its graph distances do not depend on the tree root, so they are
+    // computed once, all through one reused BFS tree.
+    let mut tree = CsrBfsTree::sized(csr.node_count());
+    let stride = ((m as f64 * 0.618_033_9) as usize).max(1);
+    let mut a = 0usize;
+    let mut b = stride % m;
+    let mut pairs: Vec<(NodeId, NodeId, u32)> = Vec::new();
+    for _ in 0..SAMPLE_PAIRS.min(m * (m - 1) / 2) {
+        if a == b {
+            b = (b + 1) % m;
+        }
+        let (u, v) = (members[a], members[b]);
+        csr.bfs_tree_into(u, &mut tree);
+        pairs.push((u, v, tree.dist[v.index()]));
+        a = (a + 1) % m;
+        b = (b + stride) % m;
+    }
     let mut best = f64::INFINITY;
     for r in 0..ROOTS.min(m) {
         let root = members[r * m / ROOTS.min(m)];
-        // Build the BFS tree as parent pointers, then compute tree
-        // distances via depths and LCA-free pair sampling: d_T(u,v) =
-        // depth(u) + depth(v) − 2·depth(lca). We find the LCA by walking
-        // up (depths are small for the graphs of interest).
-        let (dist, parent) = bfs_tree(g, root);
-        let depth = |v: NodeId| dist[v.index()].expect("member of component");
+        // Tree distances via depths and LCA-free pair sampling: d_T(u,v)
+        // = depth(u) + depth(v) − 2·depth(lca). We find the LCA by
+        // walking up (depths are small for the graphs of interest).
+        csr.bfs_tree_into(root, &mut tree);
+        let depth = |v: NodeId| tree.dist[v.index()];
+        let parent = |v: NodeId| tree.parent(v).expect("non-root has parent").0;
         let lca_dist = |mut u: NodeId, mut v: NodeId| -> u32 {
             let (mut du, mut dv) = (depth(u), depth(v));
             let total = du + dv;
             while du > dv {
-                u = parent[u.index()].expect("non-root has parent");
+                u = parent(u);
                 du -= 1;
             }
             while dv > du {
-                v = parent[v.index()].expect("non-root has parent");
+                v = parent(v);
                 dv -= 1;
             }
             while u != v {
-                u = parent[u.index()].expect("non-root has parent");
-                v = parent[v.index()].expect("non-root has parent");
+                u = parent(u);
+                v = parent(v);
                 du -= 1;
             }
             total - 2 * du
         };
-        // Deterministic pair sample with golden-ratio stride.
-        let stride = ((m as f64 * 0.618_033_9) as usize).max(1);
-        let mut a = 0usize;
-        let mut b = stride % m;
         let mut total_stretch = 0.0;
         let mut count = 0usize;
-        // Cache BFS distances from sampled `a` nodes lazily.
-        let mut cached_from: Option<(usize, Vec<Option<u32>>)> = None;
-        for _ in 0..SAMPLE_PAIRS.min(m * (m - 1) / 2) {
-            if a == b {
-                b = (b + 1) % m;
-            }
-            let (u, v) = (members[a], members[b]);
-            let dg = {
-                let need_refresh = cached_from.as_ref().map(|(i, _)| *i != a).unwrap_or(true);
-                if need_refresh {
-                    cached_from = Some((a, bfs_distances(g, u)));
-                }
-                cached_from.as_ref().expect("just set").1[v.index()].expect("same component")
-            };
+        for &(u, v, dg) in &pairs {
             if dg > 0 {
                 total_stretch += lca_dist(u, v) as f64 / dg as f64;
                 count += 1;
             }
-            a = (a + 1) % m;
-            b = (b + stride) % m;
         }
         if count > 0 {
             best = best.min(total_stretch / count as f64);

@@ -8,8 +8,8 @@
 //! and preferential graphs expand fast — one of the axes on which
 //! degree-matched generators differ structurally.
 
+use hot_graph::csr::{CsrBfsTree, CsrGraph};
 use hot_graph::graph::{Graph, NodeId};
-use hot_graph::traversal::bfs_distances;
 
 /// Deterministic source sample (same policy as `paths`).
 fn sources<N, E>(g: &Graph<N, E>) -> Vec<NodeId> {
@@ -30,13 +30,15 @@ pub fn expansion_at<N, E>(g: &Graph<N, E>, h: u32) -> f64 {
         return 0.0;
     }
     let srcs = sources(g);
+    let csr = CsrGraph::from_graph(g);
+    let mut tree = CsrBfsTree::sized(n);
     let mut total = 0.0;
     for &s in &srcs {
-        let within = bfs_distances(g, s)
-            .into_iter()
-            .flatten()
-            .filter(|&d| d <= h)
-            .count();
+        csr.bfs_tree_into(s, &mut tree);
+        // The visit order is sorted by hop distance.
+        let within = tree
+            .visit_order()
+            .partition_point(|v| tree.dist[v.index()] <= h);
         total += within as f64 / n as f64;
     }
     total / srcs.len() as f64

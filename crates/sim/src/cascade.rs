@@ -12,15 +12,13 @@
 //! relative adjacency order are preserved, so the batched engine's BFS
 //! trees on the masked view are identical to trees on a rebuilt
 //! subgraph, and the whole cascade is bit-identical at any thread
-//! count. [`cascade_naive`] is the per-flow, per-round reference kept
-//! for differential tests: with integer demands the two agree exactly,
+//! count. The integration tests keep a per-flow, per-round oracle with
+//! its own round loop: with integer demands the two agree exactly,
 //! round by round.
 
 use crate::demand::OdDemand;
-use crate::traffic::{link_loads, naive_link_load, Demand, RoutePolicy, TrafficLoads};
+use crate::traffic::{link_loads, RoutePolicy};
 use hot_graph::csr::CsrGraph;
-use hot_graph::graph::NodeId;
-use hot_graph::parallel::bfs_forest;
 
 /// Parameters of the cascade loop.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -101,7 +99,17 @@ impl CascadeOutcome {
     }
 }
 
-fn check_inputs(csr: &CsrGraph, capacities: &[f64], cfg: &CascadeConfig) {
+/// Runs the cascade of `demand` over `csr` with per-link `capacities`
+/// (indexed by `EdgeId`), using the batched engine
+/// ([`RoutePolicy::TreePath`]) for every re-route round. Deterministic
+/// and bit-identical at any `threads`.
+pub fn cascade(
+    csr: &CsrGraph,
+    demand: &dyn OdDemand,
+    capacities: &[f64],
+    cfg: &CascadeConfig,
+    threads: usize,
+) -> CascadeOutcome {
     assert_eq!(
         capacities.len(),
         csr.edge_count(),
@@ -117,82 +125,6 @@ fn check_inputs(csr: &CsrGraph, capacities: &[f64], cfg: &CascadeConfig) {
         cfg.threshold
     );
     assert!(cfg.max_rounds >= 1, "at least one round required");
-}
-
-/// Runs the cascade of `demand` over `csr` with per-link `capacities`
-/// (indexed by `EdgeId`), using the batched engine
-/// ([`RoutePolicy::TreePath`]) for every re-route round. Deterministic
-/// and bit-identical at any `threads`; with integer demands, exactly
-/// equal to [`cascade_naive`].
-pub fn cascade(
-    csr: &CsrGraph,
-    demand: &dyn OdDemand,
-    capacities: &[f64],
-    cfg: &CascadeConfig,
-    threads: usize,
-) -> CascadeOutcome {
-    check_inputs(csr, capacities, cfg);
-    run_cascade(csr, capacities, cfg, |mcsr| {
-        link_loads(mcsr, demand, RoutePolicy::TreePath, threads)
-    })
-}
-
-/// The per-flow, per-round reference implementation of [`cascade`]:
-/// every round materializes the same flows, rebuilds a BFS forest on
-/// the masked view, and walks each flow's tree path edge by edge
-/// ([`naive_link_load`]). Serial and slow — kept as the differential
-/// baseline the fast path is tested (and release-gated) against.
-pub fn cascade_naive(
-    csr: &CsrGraph,
-    demand: &dyn OdDemand,
-    capacities: &[f64],
-    cfg: &CascadeConfig,
-) -> CascadeOutcome {
-    check_inputs(csr, capacities, cfg);
-    assert_eq!(
-        demand.node_count(),
-        csr.node_count(),
-        "demand sized for a different graph"
-    );
-    // Gather the offered flows once; the demand does not change between
-    // rounds, only the surviving topology does.
-    let n = csr.node_count();
-    let mut flows: Vec<Demand> = Vec::new();
-    let mut sources: Vec<NodeId> = Vec::new();
-    let mut row: Vec<(u32, f64)> = Vec::new();
-    for s in 0..n {
-        row.clear();
-        demand.gather_row(s, &mut row);
-        let before = flows.len();
-        for &(dst, amount) in &row {
-            // The batched engine never routes self-demand.
-            if dst as usize != s {
-                flows.push(Demand {
-                    src: NodeId(s as u32),
-                    dst: NodeId(dst),
-                    amount,
-                });
-            }
-        }
-        if flows.len() > before {
-            sources.push(NodeId(s as u32));
-        }
-    }
-    run_cascade(csr, capacities, cfg, |mcsr| {
-        let forest = bfs_forest(mcsr, &sources, 1);
-        naive_link_load(mcsr, &forest, &flows)
-    })
-}
-
-/// The shared cascade loop: `route` produces this round's loads on the
-/// masked view, everything else (failure batch, bookkeeping, fixed
-/// point) is identical between the batched and naive variants.
-fn run_cascade(
-    csr: &CsrGraph,
-    capacities: &[f64],
-    cfg: &CascadeConfig,
-    mut route: impl FnMut(&CsrGraph) -> TrafficLoads,
-) -> CascadeOutcome {
     let m = csr.edge_count();
     let mut alive = vec![true; m];
     let mut rounds: Vec<CascadeRound> = Vec::new();
@@ -200,7 +132,7 @@ fn run_cascade(
     let mut converged = false;
     loop {
         let (mcsr, map) = csr.edge_masked(&alive);
-        let loads = route(&mcsr);
+        let loads = link_loads(&mcsr, demand, RoutePolicy::TreePath, threads);
         let mut max_util = 0.0f64;
         let mut failed = 0usize;
         for (new, old) in map.iter().enumerate() {
@@ -333,16 +265,6 @@ mod tests {
         let out = cascade(&csr, &dem, &vec![0.5; 4], &cfg, 1);
         assert!(!out.converged);
         assert_eq!(out.rounds.len(), 1);
-    }
-
-    #[test]
-    fn naive_reference_agrees_on_the_square() {
-        let (csr, dem) = square();
-        for caps in [vec![2.0, 10.0, 10.0, 10.0], vec![0.5; 4], vec![100.0; 4]] {
-            let fast = cascade(&csr, &dem, &caps, &CascadeConfig::default(), 3);
-            let slow = cascade_naive(&csr, &dem, &caps, &CascadeConfig::default());
-            assert_eq!(fast, slow, "caps {:?}", caps);
-        }
     }
 
     #[test]

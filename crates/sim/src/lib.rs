@@ -15,8 +15,8 @@
 //! | [`te`] | iterative weight-tuning that minimizes max utilization | §2.1 capacity-constrained design |
 //! | [`cascade`] | overload cascades: fail past-capacity links, re-route to a fixed point | §3.1 robustness under surges |
 //! | [`failure`] | single-link failures: re-routing stretch, load redistribution | §3.1 robustness; §4 fn.7 redundancy |
-//! | [`traceroute`] | vantage-point path sampling, inferred-map bias | §1/§3.2 incomplete measured maps |
-//! | [`probe`] | batched million-probe campaigns over CSR, bit-identical to [`traceroute`] | §1/§3.2 measurement at scale |
+//! | [`traceroute`] | inferred-map type and vantage choice | §1/§3.2 incomplete measured maps |
+//! | [`probe`] | batched million-probe campaigns over CSR | §1/§3.2 measurement at scale |
 //!
 //! Valley-free (Gao–Rexford) interdomain routing and policy inflation
 //! (§2.3 peering economics) live in the `hot-bgp` crate.

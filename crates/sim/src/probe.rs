@@ -1,12 +1,12 @@
 //! Streaming probe-campaign engine: traceroute inference at scale.
 //!
-//! [`crate::traceroute::infer_map`] states the measurement model — from
-//! each vantage, the forwarding path to each destination is observed and
-//! the inferred map is the union of observed links — but it runs one
-//! allocating Dijkstra per vantage over the mutable [`Graph`] and walks
-//! a materialized `Vec<EdgeId>` per destination, which caps campaigns at
-//! toy sizes. This module is the batch engine behind scenario E19: the
-//! same observation model over a [`CsrGraph`], with
+//! The measurement model: from each vantage, the forwarding path to
+//! each destination is observed, and the inferred map
+//! ([`InferredMap`]) is the union of observed links. One allocating
+//! Dijkstra per vantage over the mutable [`Graph`] and a materialized
+//! `Vec<EdgeId>` per destination (the integration tests' oracle) caps
+//! campaigns at toy sizes. This module is the engine behind E14 and
+//! E19: the same observation model over a [`CsrGraph`], with
 //!
 //! - **per-worker scratch** (a reused [`CsrBfsTree`] or Dijkstra state
 //!   with O(reached) reset) so a vantage costs one tree build and zero
@@ -25,11 +25,11 @@
 //!   controls) and **latency forwarding** over a per-link latency slice
 //!   (for generated topologies, the `hot-geo` link lengths), whose
 //!   Dijkstra replicates [`hot_graph::shortest_path::dijkstra`]'s heap
-//!   semantics operation-for-operation, so the inferred masks equal
-//!   `infer_map`'s bit for bit (property-tested).
+//!   semantics operation-for-operation, so the inferred masks equal the
+//!   per-vantage Dijkstra oracle's bit for bit (property-tested).
 //!
 //! Out-of-range vantage or destination ids are skipped, matching the
-//! hardened `infer_map` and the routing/BGP query conventions.
+//! routing/BGP query conventions.
 
 use crate::traceroute::InferredMap;
 use hot_graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
@@ -109,9 +109,7 @@ impl ProbeStats {
 /// The outcome of a campaign: the inferred map plus probe statistics.
 #[derive(Clone, Debug)]
 pub struct CampaignResult {
-    /// The inferred (sampled) map, in ground-truth indexing — the same
-    /// structure `infer_map` returns, bit-identical to it under the
-    /// same campaign.
+    /// The inferred (sampled) map, in ground-truth indexing.
     pub map: InferredMap,
     /// Aggregate probe statistics.
     pub stats: ProbeStats,
@@ -119,9 +117,10 @@ pub struct CampaignResult {
 
 /// One [`HeapEntry`] of the latency Dijkstra. This mirrors the private
 /// entry in `hot_graph::shortest_path` exactly — comparison on `dist`
-/// alone, reversed for a min-heap — because mask equality with
-/// `infer_map` requires the *same* heap pop order among equal
-/// distances, not just the same distances.
+/// alone, reversed for a min-heap — because mask equality with a
+/// per-vantage [`hot_graph::shortest_path::dijkstra`] campaign requires
+/// the *same* heap pop order among equal distances, not just the same
+/// distances.
 #[derive(PartialEq)]
 struct HeapEntry {
     dist: f64,
@@ -300,7 +299,7 @@ pub fn run_campaign(csr: &CsrGraph, campaign: &ProbeCampaign, threads: usize) ->
             for i in range {
                 let v = campaign.vantages[i];
                 if v.index() >= n {
-                    continue; // unrouted vantage, like infer_map
+                    continue; // unrouted vantage
                 }
                 if campaign.destinations.is_some() {
                     advance_epoch(scratch);
@@ -362,9 +361,9 @@ pub fn run_campaign(csr: &CsrGraph, campaign: &ProbeCampaign, threads: usize) ->
 }
 
 /// Convenience wrapper: builds the CSR view of `truth`, gathers per-edge
-/// latencies with `weight`, and runs the batched campaign — the drop-in
-/// replacement for [`crate::traceroute::infer_map`] (bit-identical
-/// masks), plus stats.
+/// latencies with `weight`, and runs the batched campaign under latency
+/// forwarding from `vantages` to `destinations` (every node when
+/// `None`).
 pub fn infer_map_batched<N, E>(
     truth: &Graph<N, E>,
     vantages: &[NodeId],
@@ -447,12 +446,11 @@ fn mark_subset_hops(
     let n = tree.dist.len();
     let parents_n = tree.parent_nodes();
     let parents_e = tree.parent_edges();
-    // The vantage observes itself even when every probe times out
-    // (`infer_map` sets the source bit before probing anything).
+    // The vantage observes itself even when every probe times out.
     set_bit(&mut part.node_words, tree.source.index());
     for &dst in dests {
         if dst.index() >= n {
-            continue; // unrouted prefix, like infer_map
+            continue; // unrouted prefix
         }
         part.stats.probes_sent += 1;
         let d = tree.dist[dst.index()];
@@ -485,8 +483,7 @@ fn mark_subset_latency(
         Some(&s) => NodeId(s),
         None => return,
     };
-    // The vantage observes itself even when every probe times out
-    // (`infer_map` sets the source bit before probing anything).
+    // The vantage observes itself even when every probe times out.
     set_bit(&mut part.node_words, source.index());
     for &dst in dests {
         if dst.index() >= n {
@@ -514,7 +511,7 @@ fn mark_subset_latency(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traceroute::{infer_map, strided_vantages};
+    use crate::traceroute::strided_vantages;
     use hot_graph::graph::Graph;
 
     /// Square with a cheap diagonal (the traceroute.rs fixture).
@@ -529,20 +526,6 @@ mod tests {
                 (0, 2, 0.5),
             ],
         )
-    }
-
-    #[test]
-    fn matches_infer_map_on_square() {
-        let g = square_diag();
-        for k in 1..=4 {
-            let vantages = strided_vantages(&g, k);
-            let classic = infer_map(&g, &vantages, None, |w| *w);
-            let batched = infer_map_batched(&g, &vantages, None, |w| *w, 2);
-            assert_eq!(classic.node_seen, batched.map.node_seen, "k = {}", k);
-            assert_eq!(classic.edge_seen, batched.map.edge_seen, "k = {}", k);
-            assert_eq!(classic.node_coverage, batched.map.node_coverage);
-            assert_eq!(classic.edge_coverage, batched.map.edge_coverage);
-        }
     }
 
     #[test]
@@ -586,29 +569,6 @@ mod tests {
         assert!((result.stats.total_latency - 2.5).abs() < 1e-12);
         assert!((result.stats.max_latency - 1.0).abs() < 1e-12);
         assert_eq!(result.stats.max_hops, 1);
-    }
-
-    #[test]
-    fn destination_subsets_restrict_the_map() {
-        let g = square_diag();
-        let csr = CsrGraph::from_graph(&g);
-        let latency: Vec<f64> = g.edge_ids().map(|e| *g.edge_weight(e)).collect();
-        let dests = [NodeId(1), NodeId(1), NodeId(0)];
-        let result = run_campaign(
-            &csr,
-            &ProbeCampaign {
-                vantages: &[NodeId(0)],
-                destinations: Some(&dests),
-                link_latency: Some(&latency),
-            },
-            1,
-        );
-        let classic = infer_map(&g, &[NodeId(0)], Some(&dests), |w| *w);
-        assert_eq!(result.map.node_seen, classic.node_seen);
-        assert_eq!(result.map.edge_seen, classic.edge_seen);
-        assert_eq!(result.stats.probes_sent, 3);
-        assert_eq!(result.stats.probes_completed, 3);
-        assert_eq!(result.stats.total_hops, 2); // 1 + 1 + 0
     }
 
     #[test]

@@ -148,18 +148,18 @@ pub fn link_loads_multi(
     link_loads_inner(csr, demands, policy, None, threads)
 }
 
-/// [`link_loads_multi`] under weighted ECMP: each flow splits over all
-/// shortest paths proportionally to *weighted* path counts, where a
-/// path's weight is the product of its links' entries in
-/// `link_weights` (indexed by `EdgeId`, all positive and finite).
-/// Unit weights reproduce [`RoutePolicy::Ecmp`] bit for bit; see the
-/// module docs. Output is bit-identical at every thread count.
-pub fn link_loads_weighted_multi(
+/// Routes `demand` over `csr` under weighted ECMP: each flow splits
+/// over all shortest paths proportionally to *weighted* path counts,
+/// where a path's weight is the product of its links' entries in
+/// `link_weights` (indexed by `EdgeId`, all positive and finite). Unit
+/// weights reproduce [`RoutePolicy::Ecmp`] bit for bit; see the module
+/// docs. Output is bit-identical at every thread count.
+pub fn link_loads_weighted(
     csr: &CsrGraph,
-    demands: &[&dyn OdDemand],
+    demand: &dyn OdDemand,
     link_weights: &[f64],
     threads: usize,
-) -> Vec<TrafficLoads> {
+) -> TrafficLoads {
     assert_eq!(
         link_weights.len(),
         csr.edge_count(),
@@ -169,17 +169,8 @@ pub fn link_loads_weighted_multi(
         link_weights.iter().all(|&w| w.is_finite() && w > 0.0),
         "link weights must be positive and finite"
     );
-    link_loads_inner(csr, demands, RoutePolicy::Ecmp, Some(link_weights), threads)
-}
-
-/// [`link_loads_weighted_multi`] for a single demand model.
-pub fn link_loads_weighted(
-    csr: &CsrGraph,
-    demand: &dyn OdDemand,
-    link_weights: &[f64],
-    threads: usize,
-) -> TrafficLoads {
-    link_loads_weighted_multi(csr, &[demand], link_weights, threads)
+    let weights = Some(link_weights);
+    link_loads_inner(csr, &[demand], RoutePolicy::Ecmp, weights, threads)
         .pop()
         .expect("one model in, one result out")
 }

@@ -1,4 +1,7 @@
-//! Helpers shared by the traffic test binaries.
+//! Helpers shared by the traffic test binaries. The probe and cascade
+//! references are in `oracle.rs`, which binaries mount with `#[path]`
+//! as `pub mod oracle`: `pub`, so a reference a binary does not call is
+//! not dead code there.
 
 use hotgen::sim::demand::OdDemand;
 

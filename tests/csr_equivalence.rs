@@ -11,9 +11,7 @@
 
 use hotgen::baselines::{glp, waxman};
 use hotgen::graph::csr::CsrGraph;
-use hotgen::graph::parallel::{
-    par_avg_path_length, par_betweenness, par_path_summary, path_summary,
-};
+use hotgen::graph::parallel::{par_avg_path_length, par_betweenness, par_path_summary};
 use hotgen::graph::{Graph, NodeId};
 use hotgen::metrics::robustness::{degradation, degradation_curve, RemovalPolicy};
 use hotgen::prelude::*;
@@ -116,7 +114,7 @@ fn par_path_summary_matches_serial_at_all_thread_counts() {
     for (name, g) in fixtures() {
         let csr = CsrGraph::from_graph(&g);
         let sources: Vec<NodeId> = g.node_ids().collect();
-        let serial = path_summary(&csr, &sources);
+        let serial = par_path_summary(&csr, &sources, 1);
         for threads in 1..=8 {
             let par = par_path_summary(&csr, &sources, threads);
             assert_eq!(

@@ -19,6 +19,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+#[path = "common/oracle.rs"]
+pub mod oracle;
+use oracle::infer_map;
+
 /// `(self_loops, duplicate_edges)` of a graph.
 fn simplicity<N, E>(g: &Graph<N, E>) -> (usize, usize) {
     let mut seen = std::collections::HashSet::new();
@@ -383,7 +387,7 @@ proptest! {
         threads in 1usize..5,
     ) {
         use hotgen::sim::probe::infer_map_batched;
-        use hotgen::sim::traceroute::{infer_map, strided_vantages};
+        use hotgen::sim::traceroute::strided_vantages;
         let g = weighted_fixture(n, &pairs);
         let vantages = strided_vantages(&g, k);
         let subset: Vec<NodeId>;
@@ -428,7 +432,7 @@ proptest! {
         threads in 1usize..5,
     ) {
         use hotgen::sim::probe::infer_map_batched;
-        use hotgen::sim::traceroute::{infer_map, strided_vantages};
+        use hotgen::sim::traceroute::strided_vantages;
         // 1..4 edges on up to 48 nodes: almost every vantage is isolated.
         let g = weighted_fixture(n, &pairs);
         let vantages = strided_vantages(&g, k);

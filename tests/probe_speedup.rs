@@ -1,6 +1,7 @@
 //! The acceptance bar for the batched probe pipeline: a vantage-point
 //! campaign on a seeded GLP graph must beat the per-vantage
-//! `infer_map` reference by ≥ 2× — with the inferred map bit-identical.
+//! `infer_map` reference (`common/oracle.rs`) by ≥ 2× — with the
+//! inferred map bit-identical.
 //!
 //! Like `traffic_speedup.rs` / `te_speedup.rs`, this is a *timing*
 //! test and lives alone in its own test binary so the measurement does
@@ -12,10 +13,14 @@ use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::default_threads;
 use hotgen::sim::probe::{run_campaign, ProbeCampaign};
-use hotgen::sim::traceroute::{infer_map, strided_vantages};
+use hotgen::sim::traceroute::strided_vantages;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
+
+#[path = "common/oracle.rs"]
+pub mod oracle;
+use oracle::infer_map;
 
 #[test]
 fn batched_campaign_speedup_glp() {

@@ -6,10 +6,15 @@ use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::bfs_forest;
 use hotgen::prelude::*;
 use hotgen::sim::failure::single_link_failures;
-use hotgen::sim::traceroute::{infer_map, strided_vantages};
+use hotgen::sim::probe::{infer_map_batched, run_campaign, ProbeCampaign};
+use hotgen::sim::traceroute::strided_vantages;
 use hotgen::sim::traffic::{naive_link_load, Demand};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+#[path = "common/oracle.rs"]
+pub mod oracle;
+use oracle::infer_map;
 
 fn setup(seed: u64) -> (Census, TrafficMatrix) {
     let census = Census::synthesize(
@@ -126,12 +131,12 @@ fn traceroute_inference_is_conservative() {
         ..IspConfig::default()
     };
     let isp = generate_isp(&census, &traffic, &config, &mut StdRng::seed_from_u64(8));
-    let few = infer_map(&isp.graph, &strided_vantages(&isp.graph, 2), None, |l| {
-        l.length.max(1e-9)
-    });
-    let many = infer_map(&isp.graph, &strided_vantages(&isp.graph, 16), None, |l| {
-        l.length.max(1e-9)
-    });
+    let campaign = |k| {
+        let vantages = strided_vantages(&isp.graph, k);
+        infer_map_batched(&isp.graph, &vantages, None, |l| l.length.max(1e-9), 2).map
+    };
+    let few = campaign(2);
+    let many = campaign(16);
     // Coverage is monotone in vantage count and bounded by the truth.
     assert!(many.edge_coverage >= few.edge_coverage - 1e-12);
     assert!(many.edge_coverage <= 1.0 + 1e-12);
@@ -171,4 +176,56 @@ fn surrogate_and_report_roundtrip() {
     let _ = rich_club_coefficient(&isp.graph, 1);
     let report = MetricReport::compute("isp", &isp.graph);
     assert!((report.assortativity.unwrap() - r).abs() < 1e-12);
+}
+
+/// Square with a cheap diagonal: shortest paths never use some edges.
+/// The probe engine must match the `infer_map` oracle on it exactly.
+fn square_diag() -> Graph<(), f64> {
+    Graph::from_edges(
+        4,
+        vec![
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 3, 1.0),
+            (3, 0, 1.0),
+            (0, 2, 0.5),
+        ],
+    )
+}
+
+#[test]
+fn matches_infer_map_on_square() {
+    let g = square_diag();
+    for k in 1..=4 {
+        let vantages = strided_vantages(&g, k);
+        let classic = infer_map(&g, &vantages, None, |w| *w);
+        let batched = infer_map_batched(&g, &vantages, None, |w| *w, 2);
+        assert_eq!(classic.node_seen, batched.map.node_seen, "k = {}", k);
+        assert_eq!(classic.edge_seen, batched.map.edge_seen, "k = {}", k);
+        assert_eq!(classic.node_coverage, batched.map.node_coverage);
+        assert_eq!(classic.edge_coverage, batched.map.edge_coverage);
+    }
+}
+
+#[test]
+fn destination_subsets_restrict_the_map() {
+    let g = square_diag();
+    let csr = CsrGraph::from_graph(&g);
+    let latency: Vec<f64> = g.edge_ids().map(|e| *g.edge_weight(e)).collect();
+    let dests = [NodeId(1), NodeId(1), NodeId(0)];
+    let result = run_campaign(
+        &csr,
+        &ProbeCampaign {
+            vantages: &[NodeId(0)],
+            destinations: Some(&dests),
+            link_latency: Some(&latency),
+        },
+        1,
+    );
+    let classic = infer_map(&g, &[NodeId(0)], Some(&dests), |w| *w);
+    assert_eq!(result.map.node_seen, classic.node_seen);
+    assert_eq!(result.map.edge_seen, classic.edge_seen);
+    assert_eq!(result.stats.probes_sent, 3);
+    assert_eq!(result.stats.probes_completed, 3);
+    assert_eq!(result.stats.total_hops, 2); // 1 + 1 + 0
 }

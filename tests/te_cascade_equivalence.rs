@@ -1,14 +1,16 @@
 //! Differential suite for the capacitated subsystem: the batched
-//! cascade must agree with the per-flow, per-round naive reference
-//! **exactly** (integer demands make every load sum exact in f64, and
-//! failure decisions depend only on those loads), and the full E18
-//! report must be byte-identical at 1 vs 8 worker threads — the same
-//! contract `traffic_equivalence.rs` pins for the flat engine.
+//! cascade must agree with the per-flow, per-round naive reference in
+//! `common/oracle.rs` **exactly** (integer demands make every load sum
+//! exact in f64, and failure decisions depend only on those loads), and
+//! the full E18 report must be byte-identical at 1 vs 8 worker threads
+//! — the same contract `traffic_equivalence.rs` pins for the flat
+//! engine.
 
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
+use hotgen::graph::graph::Graph;
 use hotgen::graph::parallel::default_threads;
-use hotgen::sim::cascade::{cascade, cascade_naive, CascadeConfig};
+use hotgen::sim::cascade::{cascade, CascadeConfig};
 use hotgen::sim::demand::OdDemand;
 use hotgen::sim::traffic::{link_loads, RoutePolicy};
 use rand::rngs::StdRng;
@@ -16,6 +18,9 @@ use rand::SeedableRng;
 
 mod common;
 use common::Banded;
+#[path = "common/oracle.rs"]
+pub mod oracle;
+use oracle::cascade_naive;
 
 /// Integer-valued OD demand: small integers varying per pair, so f64
 /// sums are exact regardless of association order.
@@ -151,4 +156,59 @@ fn e18_report_byte_identical_across_thread_counts() {
     // And the default-thread run (what CI machines actually use).
     let auto = e18::run(&p, ctx(default_threads())).to_json().compact();
     assert_eq!(one, auto);
+}
+
+/// An explicit dense demand matrix.
+struct Dense {
+    n: usize,
+    d: Vec<f64>,
+}
+
+impl OdDemand for Dense {
+    fn node_count(&self) -> usize {
+        self.n
+    }
+    fn demand(&self, src: usize, dst: usize) -> f64 {
+        self.d[src * self.n + dst]
+    }
+}
+
+/// Square with edges 0-1, 0-2, 1-3, 2-3 and 4 units from 0 to 3: the
+/// tree path runs over edges 0 and 2, and a failure there re-routes
+/// the flow over the other side.
+fn square() -> (CsrGraph, Dense) {
+    let g: Graph<(), ()> =
+        Graph::from_edges(4, vec![(0, 1, ()), (0, 2, ()), (1, 3, ()), (2, 3, ())]);
+    let mut d = vec![0.0; 16];
+    d[3] = 4.0;
+    (CsrGraph::from_graph(&g), Dense { n: 4, d })
+}
+
+#[test]
+fn naive_reference_agrees_on_the_square() {
+    let (csr, dem) = square();
+    for caps in [vec![2.0, 10.0, 10.0, 10.0], vec![0.5; 4], vec![100.0; 4]] {
+        let fast = cascade(&csr, &dem, &caps, &CascadeConfig::default(), 3);
+        let slow = cascade_naive(&csr, &dem, &caps, &CascadeConfig::default());
+        assert_eq!(fast, slow, "caps {:?}", caps);
+    }
+}
+
+/// A binding `max_rounds` stops both loops after the same round, with
+/// `converged == false`.
+#[test]
+fn naive_reference_agrees_when_max_rounds_binds() {
+    let (csr, dem) = square();
+    // Caps of 0.5 collapse the square in three rounds.
+    for max_rounds in [1, 2] {
+        let cfg = CascadeConfig {
+            max_rounds,
+            ..CascadeConfig::default()
+        };
+        let slow = cascade_naive(&csr, &dem, &[0.5; 4], &cfg);
+        assert!(!slow.converged && slow.rounds.len() == max_rounds);
+        for threads in [1, 3] {
+            assert_eq!(cascade(&csr, &dem, &[0.5; 4], &cfg, threads), slow);
+        }
+    }
 }

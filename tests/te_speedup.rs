@@ -1,8 +1,8 @@
 //! The acceptance bar for the capacitated cascade: on a seeded GLP
 //! graph under stressed capacities, the batched cascade (parallel BFS
 //! forests + chunked load accumulation per round) beats the naive
-//! per-flow, per-round reference by ≥ 2× — with the round-by-round
-//! outcome bit-identical.
+//! per-flow, per-round reference (`common/oracle.rs`) by ≥ 2× — with
+//! the round-by-round outcome bit-identical.
 //!
 //! Like `traffic_speedup.rs`, this is a *timing* test and lives alone
 //! in its own test binary so the measurement does not contend with the
@@ -13,7 +13,7 @@
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::default_threads;
-use hotgen::sim::cascade::{cascade, cascade_naive, CascadeConfig};
+use hotgen::sim::cascade::{cascade, CascadeConfig};
 use hotgen::sim::demand::OdDemand;
 use hotgen::sim::traffic::{link_loads, RoutePolicy};
 use rand::rngs::StdRng;
@@ -22,6 +22,9 @@ use std::time::Instant;
 
 mod common;
 use common::Banded;
+#[path = "common/oracle.rs"]
+pub mod oracle;
+use oracle::cascade_naive;
 
 /// Integer-valued OD demand (same family as `te_cascade_equivalence`):
 /// exact in f64 under any summation order, so batched and naive rounds
